@@ -11,7 +11,7 @@
 //! 5. **Sec. VII future work**: the stack-bypassing direct-message channel
 //!    vs the TCP/ICMP path (one-way latency of a small message).
 use mcn::{ComponentExt, McnConfig, McnSystem, SystemConfig};
-use mcn_bench::{iperf_mcn_custom, McnMode};
+use mcn_sweep::scenarios::{iperf_mcn, McnMode};
 use mcn_dram::{DramConfig, Interleave};
 use mcn_node::mem::{Access, MemorySystem, Transfer};
 use mcn_sim::SimTime;
@@ -47,16 +47,16 @@ fn main() {
             poll_interval: SimTime::from_us(us),
             ..SystemConfig::default()
         };
-        let r = iperf_mcn_custom(&cfg, McnConfig::level(0), McnMode::HostMcn);
+        let r = iperf_mcn(&cfg, McnConfig::level(0), McnMode::HostMcn);
         println!("poll every {us} us: {:.2} Gbps", r.gbps);
     }
 
     println!("\n== Ablation 3: CPU copies vs MCN-DMA (at 9KB MTU + TSO) ==");
     let cfg = SystemConfig::default();
     let mut c4 = McnConfig::level(4);
-    let r_cpu = iperf_mcn_custom(&cfg, c4, McnMode::HostMcn);
+    let r_cpu = iperf_mcn(&cfg, c4, McnMode::HostMcn);
     c4.dma = true;
-    let r_dma = iperf_mcn_custom(&cfg, c4, McnMode::HostMcn);
+    let r_dma = iperf_mcn(&cfg, c4, McnMode::HostMcn);
     println!("CPU copies: {:.2} Gbps", r_cpu.gbps);
     println!("MCN-DMA:    {:.2} Gbps  (+{:.0}%)", r_dma.gbps, (r_dma.gbps / r_cpu.gbps - 1.0) * 100.0);
 
@@ -66,7 +66,7 @@ fn main() {
             sram_ring_bytes: kb * 1024,
             ..SystemConfig::default()
         };
-        let r = iperf_mcn_custom(&cfg, McnConfig::level(4), McnMode::HostMcn);
+        let r = iperf_mcn(&cfg, McnConfig::level(4), McnMode::HostMcn);
         println!("{kb:>4} KB rings: {:.2} Gbps", r.gbps);
     }
     println!("\n== Ablation 5: Sec. VII user-space bypass vs the stack ==");

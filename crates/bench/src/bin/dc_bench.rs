@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use mcn::fabric::ClosConfig;
 use mcn::{Datacenter, MetricSink};
-use mcn_bench::{kv_dc_workload, KvDcParams};
+use mcn_sweep::scenarios::{kv_dc_workload, KvDcParams};
 use mcn_serve::ServeReport;
 use mcn_sim::SimTime;
 

@@ -2,7 +2,8 @@
 //! scale-out cluster with the same total core count (2/3/4/5 nodes).
 //!
 //! Set MCN_QUICK=1 to run the NPB subset only.
-use mcn_bench::{workload_cluster, workload_mcn};
+use mcn::SystemConfig;
+use mcn_sweep::scenarios::{workload_cluster, workload_mcn};
 use mcn_mpi::WorkloadSpec;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
         let mut cells = Vec::new();
         for &(d, n) in &pairs {
             // Rank parity: 8 + 4d ranks on MCN; (8 + 4d)/n per node rounded.
-            let mcn = workload_mcn(*spec, d, 3, 8, 4);
+            let mcn = workload_mcn(&SystemConfig::default(), *spec, d, 3, 8, 4);
             let total_ranks = 8 + 4 * d;
             let per_node = total_ranks.div_ceil(n);
             let cl = workload_cluster(*spec, n, per_node);

@@ -2,7 +2,7 @@
 //! an MCN-enabled server (4-core host + 0/1/2/3 DIMMs), normalized to the
 //! 4-core conventional server.
 use mcn::SystemConfig;
-use mcn_bench::{workload_mcn_cfg, workload_scaleup};
+use mcn_sweep::scenarios::{workload_mcn, workload_scaleup};
 use mcn_mpi::WorkloadSpec;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         }
         let mut mc = vec![1.0f64];
         for d in [1usize, 2, 3] {
-            let r = workload_mcn_cfg(&cfg4, spec, d, 3, 4, 4);
+            let r = workload_mcn(&cfg4, spec, d, 3, 4, 4);
             assert!(r.verified);
             mc.push(r.completion.as_secs_f64() / base.completion.as_secs_f64());
         }

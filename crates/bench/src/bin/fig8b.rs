@@ -1,6 +1,6 @@
 //! Fig. 8(b): host↔MCN ping RTT across payload sizes, normalized to the
 //! RTT of a 16-byte ping between two 10GbE hosts.
-use mcn_bench::{ping_10gbe, ping_mcn, McnMode};
+use mcn_sweep::scenarios::{ping_10gbe, ping_mcn, McnMode};
 
 fn main() {
     let base = ping_10gbe(16, 20);

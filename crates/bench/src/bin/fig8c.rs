@@ -1,6 +1,6 @@
 //! Fig. 8(c): MCN↔MCN ping RTT (routed through the host forwarding
 //! engine), normalized to the 16-byte 10GbE RTT.
-use mcn_bench::{ping_10gbe, ping_mcn, McnMode};
+use mcn_sweep::scenarios::{ping_10gbe, ping_mcn, McnMode};
 
 fn main() {
     let base = ping_10gbe(16, 20);

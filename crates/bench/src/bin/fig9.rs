@@ -3,7 +3,8 @@
 //! same workload.
 //!
 //! Set MCN_QUICK=1 to run the NPB subset only.
-use mcn_bench::{workload_conventional, workload_mcn};
+use mcn::SystemConfig;
+use mcn_sweep::scenarios::{workload_conventional, workload_mcn};
 use mcn_mpi::WorkloadSpec;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         assert!(base.verified, "{} failed verification", spec.name);
         let mut cells = Vec::new();
         for (i, &d) in dimm_counts.iter().enumerate() {
-            let r = workload_mcn(*spec, d, 3, 8, 3);
+            let r = workload_mcn(&SystemConfig::default(), *spec, d, 3, 8, 3);
             assert!(r.verified, "{} on {d} DIMMs failed verification", spec.name);
             let norm = r.agg_bw / base.agg_bw;
             geo[i] += norm.ln();

@@ -1,7 +1,7 @@
 //! Table III: end-to-end latency breakdown for transmitting/receiving a
 //! single TCP packet (1.5KB and 9KB), 10GbE vs MCN-0, components
 //! normalized to the 10GbE total.
-use mcn_bench::{table3_10gbe, table3_mcn};
+use mcn_sweep::scenarios::{table3_10gbe, table3_mcn};
 
 fn main() {
     println!("Table III: latency component breakdown (normalized to the 10GbE total)");

@@ -1,15 +1,53 @@
-//! Shared scenario constructors — one function per experiment — plus
+//! Scenario builders, the figure helpers built on them, and
 //! [`run_cell`], the dispatcher that turns a sweep [`Cell`] into a
 //! sealed metrics snapshot.
 //!
-//! The figure-family helpers ([`iperf_mcn`], [`workload_mcn`], …) are
-//! the canonical implementations behind the `mcn-bench` binaries (the
-//! bench crate re-exports them), so every `fig*`/`table*` binary and
-//! every sweep cell runs the same construction code. The parameterised
-//! rack/datacenter KV builders ([`kv_rack_workload`],
-//! [`kv_dc_workload`]) and the rack iperf mix ([`rack_iperf_workload`])
-//! generalise what `serving_bench`, `dc_bench` and `engine_bench`
-//! previously built inline.
+//! Each paper scenario shape has exactly one builder. A builder
+//! constructs the topology, spawns the processes and returns the
+//! topology plus its report handle; the caller runs it. The figure
+//! helpers and the sweep's cell arms call the same builder:
+//!
+//! | builder | figure helpers | sweep cells |
+//! |---------|----------------|-------------|
+//! | [`mcn_iperf_workload`] | [`iperf_mcn`], [`table3_mcn`] | `iperf-single-*` |
+//! | [`cluster_iperf_workload`] | [`iperf_10gbe`], [`table3_10gbe`] | `iperf-cluster-*` |
+//! | [`mcn_ping_workload`] | [`ping_mcn`] | `ping-single-*`, `pingmm-single-*` |
+//! | [`cluster_ping_workload`] | [`ping_10gbe`] | `ping-cluster-*` |
+//! | [`mcn_mpi_workload`] | [`workload_mcn`], [`workload_conventional`], [`workload_scaleup`] | `allreduce-single-*`, `npb_*`, `conv_*`, `scaleup_*` |
+//! | [`cluster_mpi_workload`] | [`workload_cluster`] | `allreduce-cluster-*`, `clus_*` |
+//!
+//! A figure and a cell of the same shape share the construction code,
+//! not the arguments, so their numbers differ where the arguments do:
+//!
+//! - iperf warm-up: Fig. 8(a) meters after 2 ms; cells (and Table III)
+//!   meter from zero, so every payload byte counts as a request.
+//! - iperf volume: 6 MiB per stream in Fig. 8(a); cells use
+//!   [`Scale::iperf_bytes`].
+//! - ping payload: Fig. 8(b)/(c) sweep 16 B to 8 KiB; cells send 64 B.
+//! - rank seed: the NPB figures place ranks with seed `0xC0FFEE`; cells
+//!   use the per-cell seed.
+//! - fault plan: figures run fault-free; a cell on the `faults` axis
+//!   runs [`sweep_fault_plan`].
+//!
+//! The rack and datacenter builders ([`rack_iperf_workload`],
+//! [`kv_rack_workload`], [`kv_dc_workload`]) follow the same pattern
+//! for `engine_bench`, `serving_bench`, `dc_bench` and the rack and
+//! datacenter cells.
+//!
+//! The paper artifacts and the `mcn-bench` binaries that print them:
+//!
+//! | artifact | function | binary |
+//! |----------|----------|--------|
+//! | Table I  | [`mcn::SystemConfig::render_table1`] | `table1` |
+//! | Table II | [`mcn::SystemConfig::render_table2`] | `table2` |
+//! | Fig 8(a) | [`iperf_mcn`] / [`iperf_10gbe`] | `fig8a` |
+//! | Fig 8(b) | [`ping_mcn`] / [`ping_10gbe`] (host-mcn) | `fig8b` |
+//! | Fig 8(c) | [`ping_mcn`] (mcn-mcn) | `fig8c` |
+//! | Table III| [`table3_10gbe`] / [`table3_mcn`] | `table3` |
+//! | Fig 9    | [`workload_mcn`] / [`workload_conventional`] | `fig9` |
+//! | Fig 10   | the same plus [`mcn_energy::cluster_energy`] | `fig10` |
+//! | Fig 11   | [`workload_scaleup`] / [`workload_mcn`] | `fig11` |
+//! | all of the above + serving + datacenter | [`crate::run_sweep`] | `sweep` |
 //!
 //! Every cell snapshot carries the same layout:
 //!
@@ -21,6 +59,7 @@
 //! | `perf` | headline throughput (`meta.perf_unit`) |
 //! | `energy.*` | [`mcn_energy::EnergyReport`] + [`mcn_energy::Efficiency`] |
 //! | `sim.*` | the topology's full counter tree |
+//! | `workload.*` | the MPI rank report, MPI cells only |
 //! | `serve.*` | KV fleet report(s), KV cells only |
 
 use std::sync::Arc;
@@ -34,7 +73,8 @@ use mcn::{
 use mcn_energy::{efficiency, EnergyReport, PowerParams};
 use mcn_mpi::placement::{spawn_on_cluster, spawn_on_mcn};
 use mcn_mpi::{
-    CommPattern, IperfClient, IperfReport, IperfServer, PingReport, Pinger, WorkloadSpec,
+    CommPattern, IperfClient, IperfReport, IperfServer, PingReport, Pinger, WorkloadReport,
+    WorkloadSpec,
 };
 use mcn_serve::{
     Backend, KvServer, KvServerConfig, ReplicaMap, ResilientClientConfig, ResilientKvClient,
@@ -68,145 +108,203 @@ const IPERF_PORT: u16 = 5001;
 const IPERF_BYTES_PER_CLIENT: u64 = 6 << 20;
 const IPERF_WARMUP: SimTime = SimTime::from_ms(2);
 const IPERF_DEADLINE: SimTime = SimTime::from_secs(10);
+const PING_DEADLINE: SimTime = SimTime::from_secs(1);
+const WORKLOAD_DEADLINE: SimTime = SimTime::from_secs(30);
+/// Rank-placement seed of the NPB figure helpers.
+const FIGURE_RANK_SEED: u64 = 0xC0FFEE;
+/// Echo payload of the sweep's ping cells.
+const CELL_PING_PAYLOAD: usize = 64;
 
-/// Paper Fig. 8(a): iperf with one server and four clients over MCN at the
-/// given optimisation level.
-pub fn iperf_mcn(level: u32, mode: McnMode) -> IperfResult {
-    iperf_mcn_custom(&SystemConfig::default(), McnConfig::level(level), mode)
-}
-
-/// [`iperf_mcn`] with explicit system and MCN configurations (used by the
-/// ablation harness for non-cumulative configs).
-pub fn iperf_mcn_custom(cfg: &SystemConfig, mcn: McnConfig, mode: McnMode) -> IperfResult {
-    let n_dimms = 4;
-    let mut sys = McnSystem::new(cfg, n_dimms, mcn);
+/// Builds MCN iperf on an `n_dimms`-DIMM server: one [`IperfServer`]
+/// metering after `warmup`, and `n_dimms` client streams of `bytes`
+/// each. [`McnMode::HostMcn`] puts the server on the host and a client
+/// on every DIMM; [`McnMode::McnMcn`] puts the server on DIMM 0 and the
+/// clients on the host and the other DIMMs.
+pub fn mcn_iperf_workload(
+    cfg: &SystemConfig,
+    mcn: McnConfig,
+    plan: &FaultPlan,
+    mode: McnMode,
+    n_dimms: usize,
+    bytes: u64,
+    warmup: SimTime,
+) -> (McnSystem, Arc<Mutex<IperfReport>>) {
+    let mut sys = McnSystem::with_faults(cfg, n_dimms, mcn, plan);
     let srv = IperfReport::shared();
+    let server = Box::new(IperfServer::new(IPERF_PORT, n_dimms, warmup, srv.clone()));
+    let client = |dst| Box::new(IperfClient::new(dst, IPERF_PORT, bytes, IperfReport::shared()));
     match mode {
         McnMode::HostMcn => {
-            sys.spawn_host(
-                Box::new(IperfServer::new(IPERF_PORT, n_dimms, IPERF_WARMUP, srv.clone())),
-                0,
-            );
+            sys.spawn_host(server, 0);
             let dst = sys.host_rank_ip();
             for d in 0..n_dimms {
-                let rep = IperfReport::shared();
-                sys.spawn_dimm(
-                    d,
-                    Box::new(IperfClient::new(dst, IPERF_PORT, IPERF_BYTES_PER_CLIENT, rep)),
-                    1,
-                );
+                sys.spawn_dimm(d, client(dst), 1);
             }
         }
         McnMode::McnMcn => {
-            sys.spawn_dimm(
-                0,
-                Box::new(IperfServer::new(IPERF_PORT, n_dimms, IPERF_WARMUP, srv.clone())),
-                1,
-            );
+            sys.spawn_dimm(0, server, 1);
             let dst = sys.dimm_ip(0);
-            let rep = IperfReport::shared();
-            sys.spawn_host(
-                Box::new(IperfClient::new(dst, IPERF_PORT, IPERF_BYTES_PER_CLIENT, rep)),
-                0,
-            );
+            sys.spawn_host(client(dst), 0);
             for d in 1..n_dimms {
-                let rep = IperfReport::shared();
-                sys.spawn_dimm(
-                    d,
-                    Box::new(IperfClient::new(dst, IPERF_PORT, IPERF_BYTES_PER_CLIENT, rep)),
-                    1,
-                );
+                sys.spawn_dimm(d, client(dst), 1);
             }
         }
     }
-    let finished = sys.run_until_procs_done(IPERF_DEADLINE);
-    assert!(finished, "iperf {mcn} {mode:?} stalled at {}", sys.now());
-    let r = srv.lock();
-    IperfResult {
-        gbps: r.meter.gbps(),
-        took: sys.now(),
+    (sys, srv)
+}
+
+/// Builds 10GbE iperf: one [`IperfServer`] on node 0 metering after
+/// `warmup`, and `clients` client nodes streaming `bytes` each.
+pub fn cluster_iperf_workload(
+    clients: usize,
+    bytes: u64,
+    warmup: SimTime,
+) -> (EthernetCluster, Arc<Mutex<IperfReport>>) {
+    let mut c = EthernetCluster::new(&SystemConfig::default(), clients + 1);
+    let srv = IperfReport::shared();
+    c.spawn(0, Box::new(IperfServer::new(IPERF_PORT, clients, warmup, srv.clone())), 0);
+    let dst = EthernetCluster::ip_of(0);
+    for i in 0..clients {
+        let client = IperfClient::new(dst, IPERF_PORT, bytes, IperfReport::shared());
+        c.spawn(i + 1, Box::new(client), 1);
     }
+    (c, srv)
+}
+
+/// Builds MCN ping on a 2-DIMM server: `count` echoes of `payload`
+/// bytes from the host to DIMM 0 ([`McnMode::HostMcn`]) or from DIMM 0
+/// to DIMM 1 through the host forwarding engine ([`McnMode::McnMcn`]).
+pub fn mcn_ping_workload(
+    level: u32,
+    mode: McnMode,
+    payload: usize,
+    count: u16,
+) -> (McnSystem, Arc<Mutex<PingReport>>) {
+    let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(level));
+    let rep = PingReport::shared();
+    let pinger = |dst| Box::new(Pinger::new(dst, payload, count, 1, rep.clone()));
+    match mode {
+        McnMode::HostMcn => {
+            let dst = sys.dimm_ip(0);
+            sys.spawn_host(pinger(dst), 0);
+        }
+        McnMode::McnMcn => {
+            let dst = sys.dimm_ip(1);
+            sys.spawn_dimm(0, pinger(dst), 1);
+        }
+    }
+    (sys, rep)
+}
+
+/// Builds 10GbE ping: `count` echoes of `payload` bytes from node 0 to
+/// node 1.
+pub fn cluster_ping_workload(
+    payload: usize,
+    count: u16,
+) -> (EthernetCluster, Arc<Mutex<PingReport>>) {
+    let mut c = EthernetCluster::new(&SystemConfig::default(), 2);
+    let rep = PingReport::shared();
+    let dst = EthernetCluster::ip_of(1);
+    c.spawn(0, Box::new(Pinger::new(dst, payload, count, 1, rep.clone())), 1);
+    (c, rep)
+}
+
+/// Builds an MPI workload on an `n_dimms`-DIMM MCN server (0 DIMMs is a
+/// conventional or scale-up server): `host_ranks` ranks on the host
+/// plus `per_dimm` per DIMM, placed with `rank_seed`.
+#[allow(clippy::too_many_arguments)]
+pub fn mcn_mpi_workload(
+    cfg: &SystemConfig,
+    mcn: McnConfig,
+    plan: &FaultPlan,
+    spec: WorkloadSpec,
+    n_dimms: usize,
+    host_ranks: usize,
+    per_dimm: usize,
+    rank_seed: u64,
+) -> (McnSystem, Arc<Mutex<WorkloadReport>>) {
+    let mut sys = McnSystem::with_faults(cfg, n_dimms, mcn, plan);
+    let report = spawn_on_mcn(&mut sys, spec, host_ranks, per_dimm, rank_seed);
+    (sys, report)
+}
+
+/// Builds an MPI workload on a `nodes`-node 10GbE cluster with
+/// `per_node` ranks per node, placed with `rank_seed`.
+pub fn cluster_mpi_workload(
+    spec: WorkloadSpec,
+    nodes: usize,
+    per_node: usize,
+    rank_seed: u64,
+) -> (EthernetCluster, Arc<Mutex<WorkloadReport>>) {
+    let mut c = EthernetCluster::new(&SystemConfig::default(), nodes);
+    let report = spawn_on_cluster(&mut c, spec, per_node, rank_seed);
+    (c, report)
+}
+
+/// DRAM traffic of every channel of the host and all DIMMs, in bytes.
+fn mcn_dram_bytes(sys: &McnSystem) -> u64 {
+    let dimms: u64 = (0..sys.dimms()).map(|d| sys.dimm(d).node.mem.total_bytes()).sum();
+    sys.host.mem.total_bytes() + dimms
+}
+
+/// DRAM traffic of every channel of every cluster node, in bytes.
+fn cluster_dram_bytes(c: &EthernetCluster) -> u64 {
+    (0..c.len()).map(|i| c.node(i).node.mem.total_bytes()).sum()
+}
+
+/// Runs an iperf topology to completion and reads the server's meter.
+fn run_iperf(
+    topo: &mut impl ComponentExt,
+    srv: &Arc<Mutex<IperfReport>>,
+    what: &str,
+) -> IperfResult {
+    assert!(topo.run_until_procs_done(IPERF_DEADLINE), "{what} stalled at {}", topo.now());
+    IperfResult {
+        gbps: srv.lock().meter.gbps(),
+        took: topo.now(),
+    }
+}
+
+/// Paper Fig. 8(a): iperf with one server and four clients over MCN at
+/// configuration `mcn` (the ablation harness passes non-cumulative
+/// configurations and non-default systems).
+pub fn iperf_mcn(cfg: &SystemConfig, mcn: McnConfig, mode: McnMode) -> IperfResult {
+    let plan = FaultPlan::default();
+    let (mut sys, srv) =
+        mcn_iperf_workload(cfg, mcn, &plan, mode, 4, IPERF_BYTES_PER_CLIENT, IPERF_WARMUP);
+    run_iperf(&mut sys, &srv, &format!("iperf {mcn} {mode:?}"))
 }
 
 /// Paper Fig. 8(a) baseline: iperf with one server node and four client
 /// nodes over 10GbE.
 pub fn iperf_10gbe() -> IperfResult {
-    let cfg = SystemConfig::default();
-    let clients = 4;
-    let mut c = EthernetCluster::new(&cfg, clients + 1);
-    let srv = IperfReport::shared();
-    c.spawn(
-        0,
-        Box::new(IperfServer::new(IPERF_PORT, clients, IPERF_WARMUP, srv.clone())),
-        0,
-    );
-    for i in 0..clients {
-        let rep = IperfReport::shared();
-        c.spawn(
-            i + 1,
-            Box::new(IperfClient::new(
-                EthernetCluster::ip_of(0),
-                IPERF_PORT,
-                IPERF_BYTES_PER_CLIENT,
-                rep,
-            )),
-            1,
-        );
-    }
-    let finished = c.run_until_procs_done(IPERF_DEADLINE);
-    assert!(finished, "iperf 10gbe stalled at {}", c.now());
-    let r = srv.lock();
-    IperfResult {
-        gbps: r.meter.gbps(),
-        took: c.now(),
-    }
+    let (mut c, srv) = cluster_iperf_workload(4, IPERF_BYTES_PER_CLIENT, IPERF_WARMUP);
+    run_iperf(&mut c, &srv, "iperf 10gbe")
+}
+
+/// Replies and mean RTT of a finished ping run; panics if an echo was
+/// lost.
+fn ping_outcome(rep: &Arc<Mutex<PingReport>>, count: u16) -> (u64, SimTime) {
+    let r = rep.lock();
+    assert_eq!(r.replies as u16, count, "lost pings");
+    (r.replies, r.rtts.mean().expect("recorded"))
 }
 
 /// Mean ping RTT over MCN: host↔DIMM (Fig. 8b) or DIMM↔DIMM via the host
 /// forwarding engine (Fig. 8c).
 pub fn ping_mcn(level: u32, mode: McnMode, payload: usize, count: u16) -> SimTime {
-    let cfg = SystemConfig::default();
-    let mut sys = McnSystem::new(&cfg, 2, McnConfig::level(level));
-    let rep = PingReport::shared();
-    match mode {
-        McnMode::HostMcn => {
-            let dst = sys.dimm_ip(0);
-            sys.spawn_host(Box::new(Pinger::new(dst, payload, count, 1, rep.clone())), 0);
-        }
-        McnMode::McnMcn => {
-            let dst = sys.dimm_ip(1);
-            sys.spawn_dimm(0, Box::new(Pinger::new(dst, payload, count, 1, rep.clone())), 1);
-        }
-    }
-    let ok = sys.run_until_procs_done(SimTime::from_secs(1));
+    let (mut sys, rep) = mcn_ping_workload(level, mode, payload, count);
+    let ok = sys.run_until_procs_done(PING_DEADLINE);
     assert!(ok, "ping mcn{level} {mode:?} stalled at {}", sys.now());
-    let r = rep.lock();
-    assert_eq!(r.replies as u16, count, "lost pings");
-    r.rtts.mean().expect("recorded")
+    ping_outcome(&rep, count).1
 }
 
 /// Mean ping RTT between two 10GbE nodes (the Fig. 8b/c normalisation
 /// baseline).
 pub fn ping_10gbe(payload: usize, count: u16) -> SimTime {
-    let cfg = SystemConfig::default();
-    let mut c = EthernetCluster::new(&cfg, 2);
-    let rep = PingReport::shared();
-    c.spawn(
-        0,
-        Box::new(Pinger::new(
-            EthernetCluster::ip_of(1),
-            payload,
-            count,
-            1,
-            rep.clone(),
-        )),
-        1,
-    );
-    let ok = c.run_until_procs_done(SimTime::from_secs(1));
-    assert!(ok, "ping 10gbe stalled at {}", c.now());
-    let r = rep.lock();
-    assert_eq!(r.replies as u16, count);
-    r.rtts.mean().expect("recorded")
+    let (mut c, rep) = cluster_ping_workload(payload, count);
+    assert!(c.run_until_procs_done(PING_DEADLINE), "ping 10gbe stalled at {}", c.now());
+    ping_outcome(&rep, count).1
 }
 
 /// One row of Table III: mean per-packet latency components in
@@ -232,20 +330,17 @@ impl LatencyBreakdown {
     }
 }
 
+/// Mean of a latency histogram in nanoseconds (0 when empty).
+fn mean_ns(h: &mcn_sim::stats::Histogram) -> f64 {
+    h.mean().unwrap_or(SimTime::ZERO).as_ns_f64()
+}
+
 /// Table III: one-way component breakdown for a TCP packet of `payload`
 /// bytes over 10GbE, measured from the NIC's histograms plus the wire
 /// model's known constants.
 pub fn table3_10gbe(payload: u64) -> LatencyBreakdown {
     let cfg = SystemConfig::default();
-    let mut c = EthernetCluster::new(&cfg, 2);
-    let srv = IperfReport::shared();
-    c.spawn(0, Box::new(IperfServer::new(IPERF_PORT, 1, SimTime::ZERO, srv.clone())), 0);
-    let rep = IperfReport::shared();
-    c.spawn(
-        1,
-        Box::new(IperfClient::new(EthernetCluster::ip_of(0), IPERF_PORT, payload, rep)),
-        1,
-    );
+    let (mut c, _) = cluster_iperf_workload(1, payload, SimTime::ZERO);
     assert!(c.run_until_procs_done(SimTime::from_secs(1)));
     let tx = &c.node(1).nic.breakdown;
     let rx = &c.node(0).nic.breakdown;
@@ -258,11 +353,11 @@ pub fn table3_10gbe(payload: u64) -> LatencyBreakdown {
         + ser
         + cfg.eth_latency;
     LatencyBreakdown {
-        driver_tx_ns: tx.driver_tx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
-        dma_tx_ns: tx.dma_tx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
+        driver_tx_ns: mean_ns(&tx.driver_tx),
+        dma_tx_ns: mean_ns(&tx.dma_tx),
         phy_ns: phy.as_ns_f64(),
-        dma_rx_ns: rx.dma_rx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
-        driver_rx_ns: rx.driver_rx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
+        dma_rx_ns: mean_ns(&rx.dma_rx),
+        driver_rx_ns: mean_ns(&rx.driver_rx),
     }
 }
 
@@ -270,32 +365,20 @@ pub fn table3_10gbe(payload: u64) -> LatencyBreakdown {
 /// bytes over MCN at optimisation level `level` (DMA and PHY are zero by
 /// construction; that *is* the result).
 pub fn table3_mcn(payload: u64, level: u32) -> LatencyBreakdown {
-    let cfg = SystemConfig::default();
-    let mut sys = McnSystem::new(&cfg, 1, McnConfig::level(level));
-    let srv = IperfReport::shared();
-    sys.spawn_host(Box::new(IperfServer::new(IPERF_PORT, 1, SimTime::ZERO, srv.clone())), 0);
-    let dst = sys.host_rank_ip();
-    let rep = IperfReport::shared();
-    sys.spawn_dimm(0, Box::new(IperfClient::new(dst, IPERF_PORT, payload, rep)), 1);
+    let (mut sys, _) = mcn_iperf_workload(
+        &SystemConfig::default(),
+        McnConfig::level(level),
+        &FaultPlan::default(),
+        McnMode::HostMcn,
+        1,
+        payload,
+        SimTime::ZERO,
+    );
     assert!(sys.run_until_procs_done(SimTime::from_secs(1)));
     LatencyBreakdown {
-        driver_tx_ns: sys
-            .dimm(0)
-            .stats
-            .driver_tx
-            .mean()
-            .unwrap_or(SimTime::ZERO)
-            .as_ns_f64(),
-        dma_tx_ns: 0.0,
-        phy_ns: 0.0,
-        dma_rx_ns: 0.0,
-        driver_rx_ns: sys
-            .hdrv
-            .stats
-            .driver_rx
-            .mean()
-            .unwrap_or(SimTime::ZERO)
-            .as_ns_f64(),
+        driver_tx_ns: mean_ns(&sys.dimm(0).stats.driver_tx),
+        driver_rx_ns: mean_ns(&sys.hdrv.stats.driver_rx),
+        ..LatencyBreakdown::default()
     }
 }
 
@@ -318,9 +401,8 @@ fn finish_workload(
     completion: SimTime,
     dram_bytes: u64,
     energy_j: f64,
-    report: &Arc<Mutex<mcn_mpi::WorkloadReport>>,
+    report: &Arc<Mutex<WorkloadReport>>,
 ) -> WorkloadResult {
-    let r = report.lock();
     WorkloadResult {
         completion,
         dram_bytes,
@@ -330,25 +412,24 @@ fn finish_workload(
             dram_bytes as f64 / completion.as_secs_f64()
         },
         energy_j,
-        verified: r.verified,
+        verified: report.lock().verified,
     }
 }
 
-/// Runs `spec` on an MCN-enabled server with `n_dimms` DIMMs at level
-/// `level`: `host_ranks` ranks on the host plus `per_dimm` per DIMM.
-pub fn workload_mcn(
-    spec: WorkloadSpec,
-    n_dimms: usize,
-    level: u32,
-    host_ranks: usize,
-    per_dimm: usize,
-) -> WorkloadResult {
-    workload_mcn_cfg(&SystemConfig::default(), spec, n_dimms, level, host_ranks, per_dimm)
+/// Runs a figure workload on an MCN server to completion; energy is
+/// charged up to the slowest rank's completion.
+fn mcn_workload_result(mut sys: McnSystem, report: &Arc<Mutex<WorkloadReport>>) -> WorkloadResult {
+    let ok = sys.run_until_procs_done(WORKLOAD_DEADLINE);
+    assert!(ok, "workload on a {}-DIMM server stalled at {}", sys.dimms(), sys.now());
+    let completion = report.lock().completion().expect("all finished");
+    let energy = mcn_energy::mcn_system_energy(&power(), &sys, completion).total();
+    finish_workload(completion, mcn_dram_bytes(&sys), energy, report)
 }
 
-/// [`workload_mcn`] with an explicit system configuration (Fig. 11 uses a
-/// 4-core host).
-pub fn workload_mcn_cfg(
+/// Runs `spec` on an MCN-enabled server with `n_dimms` DIMMs at level
+/// `level`: `host_ranks` ranks on the host plus `per_dimm` per DIMM
+/// (Fig. 11 passes a 4-core host `cfg`).
+pub fn workload_mcn(
     cfg: &SystemConfig,
     spec: WorkloadSpec,
     n_dimms: usize,
@@ -356,32 +437,24 @@ pub fn workload_mcn_cfg(
     host_ranks: usize,
     per_dimm: usize,
 ) -> WorkloadResult {
-    let mut sys = McnSystem::new(cfg, n_dimms, McnConfig::level(level));
-    let report = spawn_on_mcn(&mut sys, spec, host_ranks, per_dimm, 0xC0FFEE);
-    let ok = sys.run_until_procs_done(SimTime::from_secs(30));
-    assert!(
-        ok,
-        "workload {} on {n_dimms}-DIMM mcn{level} stalled at {}",
-        spec.name,
-        sys.now()
+    let (sys, report) = mcn_mpi_workload(
+        cfg,
+        McnConfig::level(level),
+        &FaultPlan::default(),
+        spec,
+        n_dimms,
+        host_ranks,
+        per_dimm,
+        FIGURE_RANK_SEED,
     );
-    let completion = report.lock().completion().expect("all finished");
-    let dram_bytes: u64 = sys.host.mem.total_bytes()
-        + (0..n_dimms).map(|d| sys.dimm(d).node.mem.total_bytes()).sum::<u64>();
-    let energy = mcn_energy::mcn_system_energy(
-        &mcn_energy::PowerParams::default(),
-        &sys,
-        completion,
-    )
-    .total();
-    finish_workload(completion, dram_bytes, energy, &report)
+    mcn_workload_result(sys, &report)
 }
 
 /// Runs `spec` on a conventional server: all ranks on one node (also the
 /// Fig. 9 normalisation baseline, where aggregate bandwidth is whatever the
 /// host channels deliver alone).
 pub fn workload_conventional(spec: WorkloadSpec, ranks: usize) -> WorkloadResult {
-    workload_mcn(spec, 0, 0, ranks, 0)
+    workload_mcn(&SystemConfig::default(), spec, 0, 0, ranks, 0)
 }
 
 /// Runs `spec` on a scale-up server with `cores` cores and `ranks` ranks
@@ -391,36 +464,19 @@ pub fn workload_scaleup(spec: WorkloadSpec, cores: usize, ranks: usize) -> Workl
         host_cores: cores,
         ..SystemConfig::default()
     };
-    let mut sys = McnSystem::new(&cfg, 0, McnConfig::level(0));
-    let report = spawn_on_mcn(&mut sys, spec, ranks, 0, 0xC0FFEE);
-    let ok = sys.run_until_procs_done(SimTime::from_secs(30));
-    assert!(ok, "scale-up {} stalled at {}", spec.name, sys.now());
-    let completion = report.lock().completion().expect("all finished");
-    let dram_bytes = sys.host.mem.total_bytes();
-    let energy = mcn_energy::mcn_system_energy(
-        &mcn_energy::PowerParams::default(),
-        &sys,
-        completion,
-    )
-    .total();
-    finish_workload(completion, dram_bytes, energy, &report)
+    workload_mcn(&cfg, spec, 0, 0, ranks, 0)
 }
 
 /// Runs `spec` on an `nodes`-node 10GbE cluster with `per_node` ranks per
 /// node (the Fig. 10 baseline).
 pub fn workload_cluster(spec: WorkloadSpec, nodes: usize, per_node: usize) -> WorkloadResult {
-    let cfg = SystemConfig::default();
-    let mut c = EthernetCluster::new(&cfg, nodes);
-    let report = spawn_on_cluster(&mut c, spec, per_node, 0xC0FFEE);
-    let ok = c.run_until_procs_done(SimTime::from_secs(30));
+    let (mut c, report) = cluster_mpi_workload(spec, nodes, per_node, FIGURE_RANK_SEED);
+    let ok = c.run_until_procs_done(WORKLOAD_DEADLINE);
     assert!(ok, "cluster {} stalled at {}", spec.name, c.now());
     let completion = report.lock().completion().expect("all finished");
-    let dram_bytes: u64 = (0..nodes).map(|i| c.node(i).node.mem.total_bytes()).sum();
-    let energy =
-        mcn_energy::cluster_energy(&mcn_energy::PowerParams::default(), &c, completion).total();
-    finish_workload(completion, dram_bytes, energy, &report)
+    let energy = mcn_energy::cluster_energy(&power(), &c, completion).total();
+    finish_workload(completion, cluster_dram_bytes(&c), energy, &report)
 }
-
 /// A shared KV fleet report.
 pub type KvReport = Arc<Mutex<ServeReport>>;
 
@@ -778,6 +834,7 @@ pub fn sweep_fault_plan(seed: u64, mcn: McnConfig) -> FaultPlan {
     plan
 }
 
+
 /// What a scenario arm measured, before it is folded into the snapshot.
 struct CellRun {
     elapsed: SimTime,
@@ -788,6 +845,43 @@ struct CellRun {
     energy: EnergyReport,
 }
 
+impl CellRun {
+    /// An iperf cell: delivered KiB at the server's goodput.
+    fn iperf(elapsed: SimTime, bytes: u64, gbps: f64, energy: EnergyReport) -> CellRun {
+        CellRun {
+            elapsed,
+            requests: bytes >> 10,
+            request_unit: "KiB_delivered",
+            perf: gbps,
+            perf_unit: "gbps",
+            energy,
+        }
+    }
+
+    /// A ping cell: echo replies per second.
+    fn ping(elapsed: SimTime, replies: u64, energy: EnergyReport) -> CellRun {
+        CellRun {
+            elapsed,
+            requests: replies,
+            request_unit: "ping_replies",
+            perf: replies as f64 / elapsed.as_secs_f64().max(1e-12),
+            perf_unit: "replies_per_sec",
+            energy,
+        }
+    }
+
+    /// An MPI cell: 64-byte DRAM bursts at the aggregate DRAM bandwidth.
+    fn dram(elapsed: SimTime, dram_bytes: u64, energy: EnergyReport) -> CellRun {
+        CellRun {
+            elapsed,
+            requests: dram_bytes / 64,
+            request_unit: "dram_bursts",
+            perf: dram_bytes as f64 / elapsed.as_secs_f64().max(1e-12),
+            perf_unit: "dram_bytes_per_sec",
+            energy,
+        }
+    }
+}
 /// Runs one sweep cell and returns its sealed snapshot (`meta.*`,
 /// `requests`, `perf`, `energy.*`, `sim.*`, and `serve.*` for KV
 /// cells). Deterministic: the same `(cell, scale, seed)` triple always
@@ -885,26 +979,29 @@ fn power() -> PowerParams {
     PowerParams::default()
 }
 
+/// The fault plan of a single-system cell: [`sweep_fault_plan`] on the
+/// `faults` axis, an empty plan otherwise.
+fn cell_fault_plan(cell: &Cell, seed: u64, mcn: McnConfig) -> FaultPlan {
+    match cell.fault {
+        FaultAxis::Faults => sweep_fault_plan(seed, mcn),
+        _ => FaultPlan::new(seed),
+    }
+}
+
 fn iperf_single_cell(cell: &Cell, scale: &Scale, seed: u64, sink: &mut MetricSink) -> CellRun {
     let n_dimms = 4;
     let mcn = McnConfig::level(cell.opt.level);
-    let plan = match cell.fault {
-        FaultAxis::Faults => sweep_fault_plan(seed, mcn),
-        _ => FaultPlan::new(seed),
-    };
-    let mut sys = McnSystem::with_faults(&SystemConfig::default(), n_dimms, mcn, &plan);
-    let srv = IperfReport::shared();
     // Zero warm-up: the meter must account every payload byte so that
     // requests (delivered KiB) and energy-per-request stay honest.
-    sys.spawn_host(Box::new(IperfServer::new(IPERF_PORT, n_dimms, SimTime::ZERO, srv.clone())), 0);
-    let dst = sys.host_rank_ip();
-    for d in 0..n_dimms {
-        sys.spawn_dimm(
-            d,
-            Box::new(IperfClient::new(dst, IPERF_PORT, scale.iperf_bytes, IperfReport::shared())),
-            1,
-        );
-    }
+    let (mut sys, srv) = mcn_iperf_workload(
+        &SystemConfig::default(),
+        mcn,
+        &cell_fault_plan(cell, seed, mcn),
+        McnMode::HostMcn,
+        n_dimms,
+        scale.iperf_bytes,
+        SimTime::ZERO,
+    );
     assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
     let elapsed = sys.now();
     let (bytes, gbps) = {
@@ -913,14 +1010,7 @@ fn iperf_single_cell(cell: &Cell, scale: &Scale, seed: u64, sink: &mut MetricSin
     };
     assert_eq!(bytes, scale.iperf_bytes * n_dimms as u64, "cell {cell} lost payload bytes");
     sink.absorb("sim", &sys);
-    CellRun {
-        elapsed,
-        requests: bytes >> 10,
-        request_unit: "KiB_delivered",
-        perf: gbps,
-        perf_unit: "gbps",
-        energy: mcn_energy::mcn_system_energy(&power(), &sys, elapsed),
-    }
+    CellRun::iperf(elapsed, bytes, gbps, mcn_energy::mcn_system_energy(&power(), &sys, elapsed))
 }
 
 fn iperf_rack_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
@@ -946,33 +1036,11 @@ fn iperf_rack_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun
         "cell {cell}: implausible delivered byte count {bytes}"
     );
     sink.absorb("sim", &rack);
-    CellRun {
-        elapsed,
-        requests: bytes >> 10,
-        request_unit: "KiB_delivered",
-        perf: gbps,
-        perf_unit: "gbps",
-        energy: mcn_energy::rack_energy(&power(), &rack, elapsed),
-    }
+    CellRun::iperf(elapsed, bytes, gbps, mcn_energy::rack_energy(&power(), &rack, elapsed))
 }
 
 fn iperf_cluster_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
-    let clients = 4;
-    let mut c = EthernetCluster::new(&SystemConfig::default(), clients + 1);
-    let srv = IperfReport::shared();
-    c.spawn(0, Box::new(IperfServer::new(IPERF_PORT, clients, SimTime::ZERO, srv.clone())), 0);
-    for i in 0..clients {
-        c.spawn(
-            i + 1,
-            Box::new(IperfClient::new(
-                EthernetCluster::ip_of(0),
-                IPERF_PORT,
-                scale.iperf_bytes,
-                IperfReport::shared(),
-            )),
-            1,
-        );
-    }
+    let (mut c, srv) = cluster_iperf_workload(4, scale.iperf_bytes, SimTime::ZERO);
     assert!(
         c.run_parallel(scale.deadline, cell.opt.threads),
         "cell {cell} stalled at {}",
@@ -984,14 +1052,7 @@ fn iperf_cluster_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> Cell
         (r.meter.bytes(), r.meter.gbps())
     };
     sink.absorb("sim", &c);
-    CellRun {
-        elapsed,
-        requests: bytes >> 10,
-        request_unit: "KiB_delivered",
-        perf: gbps,
-        perf_unit: "gbps",
-        energy: mcn_energy::cluster_energy(&power(), &c, elapsed),
-    }
+    CellRun::iperf(elapsed, bytes, gbps, mcn_energy::cluster_energy(&power(), &c, elapsed))
 }
 
 fn ping_single_cell(
@@ -1000,63 +1061,29 @@ fn ping_single_cell(
     dimm_to_dimm: bool,
     sink: &mut MetricSink,
 ) -> CellRun {
-    let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(cell.opt.level));
-    let rep = PingReport::shared();
-    if dimm_to_dimm {
-        let dst = sys.dimm_ip(1);
-        sys.spawn_dimm(0, Box::new(Pinger::new(dst, 64, scale.ping_count, 1, rep.clone())), 1);
-    } else {
-        let dst = sys.dimm_ip(0);
-        sys.spawn_host(Box::new(Pinger::new(dst, 64, scale.ping_count, 1, rep.clone())), 0);
-    }
+    let mode = if dimm_to_dimm { McnMode::McnMcn } else { McnMode::HostMcn };
+    let (mut sys, rep) =
+        mcn_ping_workload(cell.opt.level, mode, CELL_PING_PAYLOAD, scale.ping_count);
     assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
     let elapsed = sys.now();
-    let (replies, rtt) = {
-        let r = rep.lock();
-        assert_eq!(r.replies as u16, scale.ping_count, "cell {cell} lost pings");
-        (r.replies, r.rtts.mean().expect("recorded"))
-    };
+    let (replies, rtt) = ping_outcome(&rep, scale.ping_count);
     sink.value("rtt_ns", rtt.as_ns_f64());
     sink.absorb("sim", &sys);
-    CellRun {
-        elapsed,
-        requests: replies,
-        request_unit: "ping_replies",
-        perf: replies as f64 / elapsed.as_secs_f64().max(1e-12),
-        perf_unit: "replies_per_sec",
-        energy: mcn_energy::mcn_system_energy(&power(), &sys, elapsed),
-    }
+    CellRun::ping(elapsed, replies, mcn_energy::mcn_system_energy(&power(), &sys, elapsed))
 }
 
 fn ping_cluster_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
-    let mut c = EthernetCluster::new(&SystemConfig::default(), 2);
-    let rep = PingReport::shared();
-    c.spawn(
-        0,
-        Box::new(Pinger::new(EthernetCluster::ip_of(1), 64, scale.ping_count, 1, rep.clone())),
-        1,
-    );
+    let (mut c, rep) = cluster_ping_workload(CELL_PING_PAYLOAD, scale.ping_count);
     assert!(
         c.run_parallel(scale.deadline, cell.opt.threads),
         "cell {cell} stalled at {}",
         c.now()
     );
     let elapsed = c.now();
-    let (replies, rtt) = {
-        let r = rep.lock();
-        assert_eq!(r.replies as u16, scale.ping_count, "cell {cell} lost pings");
-        (r.replies, r.rtts.mean().expect("recorded"))
-    };
+    let (replies, rtt) = ping_outcome(&rep, scale.ping_count);
     sink.value("rtt_ns", rtt.as_ns_f64());
     sink.absorb("sim", &c);
-    CellRun {
-        elapsed,
-        requests: replies,
-        request_unit: "ping_replies",
-        perf: replies as f64 / elapsed.as_secs_f64().max(1e-12),
-        perf_unit: "replies_per_sec",
-        energy: mcn_energy::cluster_energy(&power(), &c, elapsed),
-    }
+    CellRun::ping(elapsed, replies, mcn_energy::cluster_energy(&power(), &c, elapsed))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1072,30 +1099,16 @@ fn mpi_single_cell(
     sink: &mut MetricSink,
 ) -> CellRun {
     let mcn = McnConfig::level(cell.opt.level);
-    let plan = match cell.fault {
-        FaultAxis::Faults => sweep_fault_plan(seed, mcn),
-        _ => FaultPlan::new(seed),
-    };
-    let mut sys = McnSystem::with_faults(cfg, n_dimms, mcn, &plan);
-    let report = spawn_on_mcn(&mut sys, spec, host_ranks, per_dimm, seed);
+    let plan = cell_fault_plan(cell, seed, mcn);
+    let (mut sys, report) =
+        mcn_mpi_workload(cfg, mcn, &plan, spec, n_dimms, host_ranks, per_dimm, seed);
     assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
     let elapsed = sys.now();
-    {
-        let r = report.lock();
-        assert!(r.verified, "cell {cell}: numerical verification failed");
-    }
-    let dram_bytes: u64 = sys.host.mem.total_bytes()
-        + (0..n_dimms).map(|d| sys.dimm(d).node.mem.total_bytes()).sum::<u64>();
+    assert!(report.lock().verified, "cell {cell}: numerical verification failed");
     sink.absorb("sim", &sys);
     sink.absorb("workload", &*report.lock());
-    CellRun {
-        elapsed,
-        requests: dram_bytes / 64,
-        request_unit: "dram_bursts",
-        perf: dram_bytes as f64 / elapsed.as_secs_f64().max(1e-12),
-        perf_unit: "dram_bytes_per_sec",
-        energy: mcn_energy::mcn_system_energy(&power(), &sys, elapsed),
-    }
+    let energy = mcn_energy::mcn_system_energy(&power(), &sys, elapsed);
+    CellRun::dram(elapsed, mcn_dram_bytes(&sys), energy)
 }
 
 fn mpi_cluster_cell(
@@ -1106,25 +1119,14 @@ fn mpi_cluster_cell(
     per_node: usize,
     sink: &mut MetricSink,
 ) -> CellRun {
-    let mut c = EthernetCluster::new(&SystemConfig::default(), nodes);
-    let report = spawn_on_cluster(&mut c, spec, per_node, seed);
+    let (mut c, report) = cluster_mpi_workload(spec, nodes, per_node, seed);
     assert!(c.run_until_procs_done(scale.deadline), "cluster {} stalled at {}", spec.name, c.now());
     let elapsed = c.now();
-    {
-        let r = report.lock();
-        assert!(r.verified, "cluster {}: numerical verification failed", spec.name);
-    }
-    let dram_bytes: u64 = (0..nodes).map(|i| c.node(i).node.mem.total_bytes()).sum();
+    assert!(report.lock().verified, "cluster {}: numerical verification failed", spec.name);
     sink.absorb("sim", &c);
     sink.absorb("workload", &*report.lock());
-    CellRun {
-        elapsed,
-        requests: dram_bytes / 64,
-        request_unit: "dram_bursts",
-        perf: dram_bytes as f64 / elapsed.as_secs_f64().max(1e-12),
-        perf_unit: "dram_bytes_per_sec",
-        energy: mcn_energy::cluster_energy(&power(), &c, elapsed),
-    }
+    let energy = mcn_energy::cluster_energy(&power(), &c, elapsed);
+    CellRun::dram(elapsed, cluster_dram_bytes(&c), energy)
 }
 
 fn kv_rack_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
@@ -1251,6 +1253,7 @@ fn kv_dc_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcn_sim::MetricValue;
     use crate::spec::OptFlags;
 
     fn cell(workload: Workload, topology: Topology, fault: FaultAxis, level: u32) -> Cell {
@@ -1310,5 +1313,58 @@ mod tests {
             .sum();
         let _ = injected; // rate faults at smoke volume may round to zero
         assert!(snap.get_u64("requests") > 0);
+    }
+
+    /// A figure helper and a sweep cell differ only in their arguments:
+    /// run the figure path with the cell's arguments and the numbers
+    /// agree.
+    #[test]
+    fn figure_paths_match_cells_at_equal_parameters() {
+        let scale = Scale::smoke();
+        let seed = 0x5EED;
+        let cfg = SystemConfig::default();
+        let no_faults = FaultPlan::default();
+
+        // MCN iperf at zero warm-up and the smoke stream volume.
+        let c = cell(Workload::Iperf, Topology::Single, FaultAxis::None, 3);
+        let snap = run_cell(&c, &scale, seed);
+        let (mut sys, srv) = mcn_iperf_workload(
+            &cfg,
+            McnConfig::level(3),
+            &no_faults,
+            McnMode::HostMcn,
+            4,
+            scale.iperf_bytes,
+            SimTime::ZERO,
+        );
+        let fig = run_iperf(&mut sys, &srv, "iperf");
+        assert_eq!(Some(fig.gbps), snap.get("perf").map(MetricValue::as_f64));
+        assert_eq!(fig.took.as_ps(), snap.get_u64("elapsed_ps"));
+
+        // MCN ping at the cells' 64 B payload, host→DIMM and DIMM→DIMM.
+        for (dimm_to_dimm, mode) in [(false, McnMode::HostMcn), (true, McnMode::McnMcn)] {
+            let c = cell(Workload::Ping { dimm_to_dimm }, Topology::Single, FaultAxis::None, 5);
+            let snap = run_cell(&c, &scale, seed);
+            let rtt = ping_mcn(5, mode, CELL_PING_PAYLOAD, scale.ping_count);
+            assert_eq!(Some(rtt.as_ns_f64()), snap.get("rtt_ns").map(MetricValue::as_f64));
+        }
+
+        // The all-reduce workload on MCN, placed with the cell's seed.
+        let c = cell(Workload::AllReduce, Topology::Single, FaultAxis::None, 1);
+        let snap = run_cell(&c, &scale, seed);
+        let (sys, report) = mcn_mpi_workload(
+            &cfg,
+            McnConfig::level(1),
+            &no_faults,
+            allreduce_spec(scale.allreduce_iters),
+            2,
+            2,
+            1,
+            seed,
+        );
+        let fig = mcn_workload_result(sys, &report);
+        assert!(fig.verified);
+        assert_eq!(fig.completion.as_ps(), snap.get_u64("workload.completion_ps"));
+        assert_eq!(fig.dram_bytes / 64, snap.get_u64("requests"));
     }
 }
