@@ -1,5 +1,6 @@
 //! Per-channel memory controller: FR-FCFS scheduling over a DDR4 channel.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -161,6 +162,17 @@ impl ChannelStats {
     }
 }
 
+/// Bank coordinates of a DRAM request, decoded once when it is pushed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Coord {
+    /// Flat bank index within the channel.
+    bank: usize,
+    rank: u32,
+    /// Bank group index across ranks (`rank * bank_groups + bank_group`).
+    rank_bg: u32,
+    row: u64,
+}
+
 #[derive(Debug, Clone)]
 struct Pending {
     req: MemRequest,
@@ -168,6 +180,8 @@ struct Pending {
     /// Time the request entered the controller; no command for it may be
     /// issued earlier (causality).
     arrived: SimTime,
+    /// Decoded coordinates (all zero for SRAM requests).
+    at: Coord,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,6 +257,12 @@ pub struct Channel {
 
     read_q: Vec<Pending>,
     write_q: Vec<Pending>,
+    /// Per bank, the queued DRAM requests (both queues) to its open row.
+    open_row_hits: Vec<u32>,
+    /// The last [`pick`](Self::pick) result. Its inputs change only in
+    /// `push`, `issue` and where `advance` enters refresh mode, which
+    /// clear it.
+    pick_memo: Cell<Option<Option<(Action, SimTime)>>>,
     next_seq: u64,
     completions: BinaryHeap<Reverse<CompEntry>>,
 
@@ -286,6 +306,8 @@ impl Channel {
             clock: SimTime::ZERO,
             read_q: Vec::new(),
             write_q: Vec::new(),
+            open_row_hits: vec![0; nbanks],
+            pick_memo: Cell::new(None),
             next_seq: 0,
             completions: BinaryHeap::new(),
             refresh_due,
@@ -345,6 +367,8 @@ impl Channel {
     pub fn push(&mut self, req: MemRequest, now: SimTime) {
         assert!(self.can_accept(req.kind), "queue full: check can_accept()");
         self.clock = self.clock.max(now);
+        self.pick_memo.set(None);
+        let mut at = Coord::default();
         if req.target == Target::Dram {
             let loc = self.map.decode(req.addr);
             assert_eq!(
@@ -352,6 +376,15 @@ impl Channel {
                 "request addr {:#x} decodes to channel {}, pushed to {}",
                 req.addr, loc.channel, self.index
             );
+            at = Coord {
+                bank: loc.flat_bank(&self.cfg),
+                rank: loc.rank,
+                rank_bg: loc.bank_group + loc.rank * self.cfg.bank_groups,
+                row: loc.row,
+            };
+            if self.banks[at.bank].open_row() == Some(at.row) {
+                self.open_row_hits[at.bank] += 1;
+            }
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -359,6 +392,7 @@ impl Channel {
             req,
             seq,
             arrived: self.clock,
+            at,
         };
         match req.kind {
             MemKind::Read => self.read_q.push(pending),
@@ -398,6 +432,7 @@ impl Channel {
         loop {
             if !self.refresh_mode && now >= self.refresh_due && self.stats.traffic.bytes() > 0 {
                 self.refresh_mode = true;
+                self.pick_memo.set(None);
             }
             match self.pick() {
                 Some((action, t)) if t <= now => self.issue(action, t),
@@ -420,16 +455,6 @@ impl Channel {
     }
 
     // ---- scheduling ----
-
-    fn bank_of(&self, addr: u64) -> (usize, u32, u32, u64) {
-        let loc = self.map.decode(addr);
-        (
-            loc.flat_bank(&self.cfg),
-            loc.rank,
-            loc.bank_group + loc.rank * self.cfg.bank_groups,
-            loc.row,
-        )
-    }
 
     /// Earliest issue time for a CAS to an open row.
     fn cas_time(&self, rank: u32, rank_bg: u32, bank: usize, kind: MemKind) -> SimTime {
@@ -484,19 +509,6 @@ impl Channel {
         (self.dbus_free + turn).max(self.cmd_slot)
     }
 
-    /// True if any queued request hits `row` currently open in `bank`.
-    fn row_has_pending_hit(&self, bank: usize, row: u64) -> bool {
-        let hit = |q: &[Pending]| {
-            q.iter().any(|p| {
-                p.req.target == Target::Dram && {
-                    let (b, _, _, r) = self.bank_of(p.req.addr);
-                    b == bank && r == row
-                }
-            })
-        };
-        hit(&self.read_q) || hit(&self.write_q)
-    }
-
     /// Candidates from one queue: (best CAS-like action, oldest PRE/ACT).
     fn queue_candidates(&self, qid: QueueId) -> Option<(Action, SimTime)> {
         let q = match qid {
@@ -514,7 +526,12 @@ impl Channel {
                     }
                 }
                 Target::Dram => {
-                    let (bank, rank, rank_bg, row) = self.bank_of(p.req.addr);
+                    let Coord {
+                        bank,
+                        rank,
+                        rank_bg,
+                        row,
+                    } = p.at;
                     match self.banks[bank].open_row() {
                         Some(open) if open == row => {
                             let t = self
@@ -524,10 +541,12 @@ impl Channel {
                                 best_cas = Some((Action::Cas(qid, idx), t));
                             }
                         }
-                        Some(open) => {
+                        Some(_) => {
+                            // Close the row only when nothing queued still
+                            // hits it.
                             if oldest_other.is_none()
                                 && !self.refresh_mode
-                                && !self.row_has_pending_hit(bank, open)
+                                && self.open_row_hits[bank] == 0
                             {
                                 let t = self.banks[bank]
                                     .pre_ready
@@ -554,7 +573,18 @@ impl Channel {
         }
     }
 
+    /// The next command and its earliest issue time, memoized until the
+    /// scheduler state changes.
     fn pick(&self) -> Option<(Action, SimTime)> {
+        if let Some(picked) = self.pick_memo.get() {
+            return picked;
+        }
+        let picked = self.pick_uncached();
+        self.pick_memo.set(Some(picked));
+        picked
+    }
+
+    fn pick_uncached(&self) -> Option<(Action, SimTime)> {
         if self.refresh_mode {
             // Close all banks, then REF once tRP has elapsed everywhere.
             let mut pre: Option<(usize, SimTime)> = None;
@@ -566,18 +596,15 @@ impl Channel {
                         pre = Some((i, t));
                     }
                 } else {
-                    all_ready = all_ready.max(b.act_ready.min(SimTime::MAX));
+                    all_ready = all_ready.max(b.act_ready);
                 }
             }
-            if let Some((bank, t)) = pre {
-                return Some((Action::Pre(bank), t));
-            }
-            // All banks idle; REF when every bank's precharge has settled.
-            let t = self
-                .banks
-                .iter()
-                .fold(all_ready, |acc, b| acc.max(b.act_ready));
-            return Some((Action::Refresh, t));
+            // With every bank idle, REF once each bank's precharge has
+            // settled.
+            return Some(match pre {
+                Some((bank, t)) => (Action::Pre(bank), t),
+                None => (Action::Refresh, all_ready),
+            });
         }
 
         let primary = if self.drain_writes || self.read_q.is_empty() {
@@ -600,7 +627,8 @@ impl Channel {
     }
 
     fn issue(&mut self, action: Action, t: SimTime) {
-        let c = self.cfg.clone();
+        self.pick_memo.set(None);
+        let c = &self.cfg;
         self.cmd_slot = t + c.cycles(1);
         match action {
             Action::Refresh => {
@@ -615,12 +643,17 @@ impl Channel {
             }
             Action::Pre(bank) => {
                 self.banks[bank].precharge(t, c.cycles(c.t_rp));
+                self.open_row_hits[bank] = 0;
                 self.stats.precharges.inc();
                 self.record(t, Cmd::Pre { bank });
             }
             Action::Act(qid, idx) => {
-                let req = self.peek(qid, idx).req;
-                let (bank, rank, rank_bg, row) = self.bank_of(req.addr);
+                let Coord {
+                    bank,
+                    rank,
+                    rank_bg,
+                    row,
+                } = self.peek(qid, idx).at;
                 self.banks[bank].activate(
                     t,
                     row,
@@ -635,12 +668,27 @@ impl Channel {
                     w.pop_front();
                 }
                 w.push_back(t);
+                self.open_row_hits[bank] = self
+                    .read_q
+                    .iter()
+                    .chain(&self.write_q)
+                    .filter(|p| {
+                        p.req.target == Target::Dram && p.at.bank == bank && p.at.row == row
+                    })
+                    .count() as u32;
                 self.stats.activates.inc();
                 self.record(t, Cmd::Act { bank, row });
             }
             Action::Cas(qid, idx) => {
                 let p = self.take(qid, idx);
-                let (bank, rank, rank_bg, row) = self.bank_of(p.req.addr);
+                let c = &self.cfg;
+                let Coord {
+                    bank,
+                    rank,
+                    rank_bg,
+                    row,
+                } = p.at;
+                self.open_row_hits[bank] -= 1;
                 let (lat, cmd) = match p.req.kind {
                     MemKind::Read => (c.cycles(c.t_cl), Cmd::Rd { bank, row }),
                     MemKind::Write => (c.cycles(c.t_cwl), Cmd::Wr { bank, row }),
@@ -668,6 +716,7 @@ impl Channel {
             }
             Action::Sram(qid, idx) => {
                 let p = self.take(qid, idx);
+                let c = &self.cfg;
                 let data_end = t + c.t_burst();
                 self.dbus_free = data_end;
                 self.last_dir = Some(p.req.kind);

@@ -751,9 +751,6 @@ impl McnSystem {
             if round >= 100_000 {
                 panic!("{}", self.stall_report("system advance did not converge"));
             }
-            if round > 0 && round % 1000 == 0 && std::env::var("MCN_SYS_DEBUG").is_ok() {
-                eprintln!("advance({t}) round {round}");
-            }
             let mut changed = false;
 
             // Due staged effects; each delivery marks its target dirty.
