@@ -21,9 +21,11 @@
 //! rerun to continue), `--list` (print the expanded cells and exit).
 //!
 //! The merged tree lands in `DIR/sweep.json`; per-cell done-markers in
-//! `DIR/cell-{id}-{hash}.json`. Reruns reuse markers, so interrupting
-//! and restarting converges on the byte-identical `sweep.json` an
-//! uninterrupted run produces (see DESIGN.md §4g).
+//! `DIR/cell-{id}-{hash}.json`; per-cell host wall seconds in the
+//! `DIR/timings.json` sidecar (never in `sweep.json`). Reruns reuse
+//! markers, so interrupting and restarting converges on the
+//! byte-identical `sweep.json` an uninterrupted run produces (see
+//! DESIGN.md §4g).
 
 use std::process::exit;
 
@@ -144,6 +146,7 @@ fn main() {
         jobs,
         outcome.merged_path.display()
     );
+    println!("host timings -> {}", cfg.out_dir.join("timings.json").display());
     if outcome.remaining > 0 {
         println!("rerun the same command to continue (markers resume the sweep)");
     }

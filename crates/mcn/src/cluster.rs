@@ -22,7 +22,7 @@ use mcn_node::nic::{Nic, NicConfig, NIC_WAITER};
 use mcn_node::{CostModel, MemorySystem, Node, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::{
-    Activity, Component, EngineStats, Fabric, ParallelEngine, Quantum, RunGoal, RunReport, Shard,
+    Activity, Component, EngineStats, Fabric, ParallelEngine, Quantum, RunGoal, RunReport,
     SimTime, StallReport, Wakeup,
 };
 
@@ -212,8 +212,9 @@ impl EthernetCluster {
     /// Enables frame loss/corruption on node `i`'s uplink (failure
     /// injection for TCP-recovery tests).
     pub fn impair_uplink(&mut self, i: usize, drop: f64, corrupt: f64, seed: u64) {
-        self.blocks[i].up =
-            Link::new(1.25e9, SimTime::from_us(1)).with_impairments(drop, corrupt, seed);
+        self.sched.invalidate(i);
+        let up = &mut self.blocks[i].up;
+        *up = Link::new(up.bytes_per_sec(), up.latency()).with_impairments(drop, corrupt, seed);
     }
 
     /// The uplink (node `i` → switch), e.g. to read impairment counters.
@@ -241,9 +242,11 @@ impl EthernetCluster {
         &self.blocks[i].ep
     }
 
-    /// Mutable access to node `i` (e.g. to bind sockets or spawn work;
-    /// the scheduler re-queries every block's deadline each window).
+    /// Mutable access to node `i` (e.g. to bind sockets or spawn work).
+    /// Marks the node's cached scheduler probe stale, so the next run
+    /// re-reads its deadline.
     pub fn node_mut(&mut self, i: usize) -> &mut ClusterNode {
+        self.sched.invalidate(i);
         &mut self.blocks[i].ep
     }
 
@@ -268,13 +271,10 @@ impl EthernetCluster {
         self.blocks.iter().all(|b| b.ep.node.runner.all_done())
     }
 
-    /// Earliest pending activity across the node blocks.
+    /// Earliest pending activity across the node blocks (from the
+    /// scheduler's probe cache).
     pub fn next_event(&mut self) -> Option<SimTime> {
-        self.blocks
-            .iter_mut()
-            .filter_map(Shard::next_event)
-            .min()
-            .map(|x| x.max(self.now))
+        self.sched.next_event(&mut self.blocks).map(|x| x.max(self.now))
     }
 
     /// A structured snapshot of the cluster for stall debugging: each
@@ -387,6 +387,21 @@ mod tests {
 
     fn mk(n: usize) -> EthernetCluster {
         EthernetCluster::new(&SystemConfig::default(), n)
+    }
+
+    #[test]
+    fn impaired_uplink_keeps_the_configured_rate_and_latency() {
+        let sys = SystemConfig {
+            eth_bytes_per_sec: 3.125e9,
+            eth_latency: SimTime::from_ns(2_500),
+            ..SystemConfig::default()
+        };
+        let mut c = EthernetCluster::new(&sys, 2);
+        c.impair_uplink(1, 0.5, 0.0, 7);
+        for i in 0..2 {
+            assert_eq!(c.uplink(i).bytes_per_sec(), 3.125e9, "node {i} uplink rate");
+            assert_eq!(c.uplink(i).latency(), SimTime::from_ns(2_500), "node {i} uplink latency");
+        }
     }
 
     #[test]

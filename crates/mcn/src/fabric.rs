@@ -234,17 +234,13 @@ enum DcOutage {
 }
 
 /// One rack as an outer-level shard: the rack (with its own inner
-/// engine), its fabric ingress pipe, and the latency constants the
-/// emission bounds need.
+/// engine) and its fabric ingress pipe. The emission bounds read their
+/// latencies from the rack itself.
 #[derive(Debug)]
 struct RackShard {
     rack: McnRack,
     /// Fabric → ToR ingress (the agg→rack downlink's share of capacity).
     ingress: Pipe,
-    /// ToR store-and-forward latency (stamped on gateway claims).
-    tor_fwd: SimTime,
-    /// Server link propagation latency (part of the turnaround bound).
-    eth_latency: SimTime,
 }
 
 impl Shard for RackShard {
@@ -258,14 +254,16 @@ impl Shard for RackShard {
     fn next_emission(&mut self) -> Option<SimTime> {
         // Any gateway claim needs an inner event first, then pays the
         // ToR forward latency. Under-estimating is sound.
-        self.rack.next_event().map(|t| t + self.tor_fwd)
+        self.rack.next_event().map(|t| t + self.rack.tor_forward_latency())
     }
 
     fn turnaround(&self) -> SimTime {
         // A delivered fabric frame pays the ingress pipe's propagation,
         // one server downlink/uplink round and the ToR forward stage
         // before any response can leave; this under-estimates that path.
-        self.ingress.latency + self.eth_latency + self.tor_fwd
+        // (The rack quantum is exactly that ToR forward stage plus one
+        // server link propagation delay.)
+        self.ingress.latency + self.rack.quantum().window()
     }
 
     fn apply(&mut self, _at: SimTime, _cmd: DcCmd) {
@@ -294,6 +292,14 @@ impl Shard for RackShard {
 
     fn procs_done(&self) -> bool {
         self.rack.all_procs_done()
+    }
+
+    fn acts_when_idle(&self) -> bool {
+        // Every outer window drives the rack's inner engine to the
+        // window edge, which moves the rack clock (`rackN.now_ps`) and
+        // counts an inner run; an idle rack costs only that cached
+        // check.
+        true
     }
 }
 
@@ -431,6 +437,13 @@ impl Shard for DcShard {
         match self {
             DcShard::Rack(r) => Shard::procs_done(&**r),
             DcShard::Switch(s) => Shard::procs_done(s),
+        }
+    }
+
+    fn acts_when_idle(&self) -> bool {
+        match self {
+            DcShard::Rack(r) => r.acts_when_idle(),
+            DcShard::Switch(s) => s.acts_when_idle(),
         }
     }
 }
@@ -644,8 +657,6 @@ impl Datacenter {
             shards.push(DcShard::Rack(Box::new(RackShard {
                 rack,
                 ingress: Pipe::new(rack_bps, clos.fabric_latency),
-                tor_fwd,
-                eth_latency: sys.eth_latency,
             })));
         }
         let mut per_switch = Vec::new();
@@ -839,6 +850,7 @@ impl Datacenter {
                 self.outages.schedule(up_at, DcOutage::SwitchUp { sw });
             }
             MemberKind::Rack(r) => {
+                self.sched.invalidate(r);
                 let DcShard::Rack(rs) = &mut self.shards[r] else {
                     unreachable!("rack shards are first");
                 };
@@ -868,8 +880,10 @@ impl Datacenter {
     }
 
     /// Mutable access to rack `r` (spawn work, open sockets, install
-    /// rack-local chaos; the scheduler re-queries deadlines each window).
+    /// rack-local chaos). Marks the rack's cached outer scheduler probe
+    /// stale, so the next run re-reads its deadline.
     pub fn rack_mut(&mut self, r: usize) -> &mut McnRack {
+        self.sched.invalidate(r);
         match &mut self.shards[r] {
             DcShard::Rack(rs) => &mut rs.rack,
             DcShard::Switch(_) => unreachable!("rack shards are first"),
@@ -914,13 +928,10 @@ impl Datacenter {
 
     /// Earliest pending activity anywhere in the datacenter.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut t = self.outages.peek_time();
-        for s in self.shards.iter_mut() {
-            t = match (t, Shard::next_event(s)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
+        let t = match (self.outages.peek_time(), self.sched.next_event(&mut self.shards)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
         t.map(|x| x.max(self.now))
     }
 

@@ -745,9 +745,11 @@ impl McnRack {
         &self.blocks[s].ep.sys
     }
 
-    /// Mutable access to server `s` (e.g. to spawn work or open sockets;
-    /// the scheduler re-queries every block's deadline each window).
+    /// Mutable access to server `s` (e.g. to spawn work or open sockets).
+    /// Marks the server's cached scheduler probe stale, so the next run
+    /// re-reads its deadline.
     pub fn server_mut(&mut self, s: usize) -> &mut McnSystem {
+        self.sched.invalidate(s);
         &mut self.blocks[s].ep.sys
     }
 
@@ -760,6 +762,13 @@ impl McnRack {
     /// switch + downlink latency.
     pub fn quantum(&self) -> Quantum {
         self.sched.quantum()
+    }
+
+    /// The ToR switch's store-and-forward latency (what every frame
+    /// leaving a server pays before it reaches another server or the
+    /// datacenter gateway).
+    pub(crate) fn tor_forward_latency(&self) -> SimTime {
+        self.switch.forward_latency
     }
 
     /// Spawns a process on a host core of server `s`.
@@ -787,13 +796,10 @@ impl McnRack {
     /// plus the next scheduled outage (a crash or heal is activity even
     /// when every server is idle).
     pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut t = self.outages.peek_time();
-        for b in self.blocks.iter_mut() {
-            t = match (t, Shard::next_event(b)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
+        let t = match (self.outages.peek_time(), self.sched.next_event(&mut self.blocks)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
         t.map(|x| x.max(self.now))
     }
 
@@ -907,6 +913,7 @@ impl McnRack {
         let mut f = frame;
         f.dst = McnSystem::nic_mac_in(self.rack_id, owner);
         self.stats.fabric_rx.inc();
+        self.sched.invalidate(owner);
         Shard::deliver(&mut self.blocks[owner], at, f);
         true
     }

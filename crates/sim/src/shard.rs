@@ -46,6 +46,26 @@
 //! buffers, and the assignment only decides *which thread* runs a
 //! shard.
 //!
+//! # Resumable runs: the probe cache and the idle skip
+//!
+//! A shard's answers to the planning questions — next event, emission
+//! bound, turnaround, processes done — are a pure function of its
+//! state. The engine keeps each shard's last answers (its *probe*)
+//! across [`ParallelEngine::run`] calls and asks again only after
+//! something touched the shard: a window run, a command or a delivery
+//! (inside `run`, which re-probes exactly those shards), or a mutation
+//! by the owning topology between runs, which must call
+//! [`ParallelEngine::invalidate`]. So a run probes only stale shards at
+//! its start, [`ParallelEngine::next_event`] is a minimum over cached
+//! values, and a batch skips every shard that is not *due* — no
+//! commands, no deliveries, and a next event after the batch end —
+//! because its windows would run nothing and report the probe the
+//! coordinator already holds. Shards whose idle windows still change
+//! state opt out with [`Shard::acts_when_idle`]. Deliveries still in
+//! flight when a run ends go only to the shards they target. Debug
+//! builds re-probe every cached probe the coordinator relies on and
+//! panic on a mismatch, which is how a missing `invalidate` shows up.
+//!
 //! # Determinism
 //!
 //! Emissions are merged with a single stable sort on `(time, shard
@@ -56,8 +76,8 @@
 //! **independent of the window size, batch size, and thread count**:
 //! `threads = 1` and `threads = N` produce byte-identical metrics
 //! snapshots, including every `sched.*` counter (lookahead, batching,
-//! pooling, and rebalancing are all decided on the coordinator from
-//! deterministic data). The serial path is the same batched algorithm
+//! pooling, rebalancing and the idle skip are all decided on the
+//! coordinator from deterministic data). The serial path is the same batched algorithm
 //! run inline, so there is exactly one scheduler to trust.
 //!
 //! # Hierarchical quantum domains
@@ -75,7 +95,10 @@
 //! 1. **Containment** — the inner engine is driven with
 //!    [`RunGoal::Deadline`] to exactly the outer window end, so inner
 //!    barriers are invisible from outside and the outer clock never
-//!    runs ahead of an inner one.
+//!    runs ahead of an inner one. (Driving an idle inner engine still
+//!    moves its clock, so such a shard reports
+//!    [`acts_when_idle`](Shard::acts_when_idle) and is never skipped;
+//!    its inner probes are cached, so an idle drive costs little.)
 //! 2. **Monotone hand-off** — frames entering the shard are delivered
 //!    with their exact arrival timestamps (future-dated relative to the
 //!    outer barrier), and frames leaving it keep the timestamps of
@@ -306,6 +329,17 @@ pub trait Shard: Send {
     fn procs_done(&self) -> bool {
         true
     }
+
+    /// Whether [`run_window`](Shard::run_window) changes state even when
+    /// no local event falls inside the window. The coordinator skips a
+    /// shard with no commands, no deliveries and a next event past the
+    /// batch end; that is only sound when such a window is a no-op,
+    /// which the default (`false`) asserts. A shard that owns a nested
+    /// engine returns `true`: driving it to the window end moves the
+    /// nested clock and counts the nested scheduler's work.
+    fn acts_when_idle(&self) -> bool {
+        false
+    }
 }
 
 /// The coordinator-side boundary logic: scheduled control events (e.g.
@@ -428,12 +462,36 @@ impl WindowPlan {
     }
 }
 
-/// What one shard reports back at a barrier.
-struct ShardReport<F> {
+/// A shard's answers to the coordinator's planning questions. They are
+/// a pure function of the shard's state, so a cached probe stays valid
+/// until something touches the shard: a window run, a command or a
+/// delivery inside [`ParallelEngine::run`] (all of which re-probe), or a
+/// mutation by the owning topology between runs (which must call
+/// [`ParallelEngine::invalidate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Probe {
     next_event: Option<SimTime>,
     next_emission: Option<SimTime>,
     turnaround: SimTime,
     procs_done: bool,
+    acts_when_idle: bool,
+}
+
+impl Probe {
+    fn of<S: Shard>(shard: &mut S) -> Probe {
+        Probe {
+            next_event: shard.next_event(),
+            next_emission: shard.next_emission(),
+            turnaround: shard.turnaround(),
+            procs_done: shard.procs_done(),
+            acts_when_idle: shard.acts_when_idle(),
+        }
+    }
+}
+
+/// What one shard reports back at a barrier.
+struct ShardReport<F> {
+    probe: Probe,
     emitted: Vec<(SimTime, F)>,
     /// The drained delivery buffer, handed back for pooling.
     scratch: Vec<(SimTime, F)>,
@@ -449,17 +507,38 @@ struct ShardWork<C, F> {
     outbox: Vec<(SimTime, F)>,
 }
 
+impl<C, F> ShardWork<C, F> {
+    /// No commands, no deliveries, unpooled buffers: a bare probe.
+    #[cfg(debug_assertions)]
+    fn empty() -> Self {
+        ShardWork { cmds: Vec::new(), deliveries: Vec::new(), outbox: Vec::new() }
+    }
+
+    /// Whether the shard must run this round: it has commands or
+    /// deliveries to apply, its cached next event falls by `end`, or its
+    /// windows act even when idle.
+    fn due(&self, probe: &Probe, end: SimTime) -> bool {
+        !self.cmds.is_empty()
+            || !self.deliveries.is_empty()
+            || probe.acts_when_idle
+            || probe.next_event.is_some_and(|t| t <= end)
+    }
+}
+
+/// Indexed per-shard work for one dispatch, in ascending shard order.
+type Batch<C, F> = Vec<(usize, ShardWork<C, F>)>;
+
 enum Job<C, F> {
     Round {
         plan: Option<WindowPlan>,
-        work: Vec<(usize, ShardWork<C, F>)>,
+        work: Batch<C, F>,
     },
     Stop,
 }
 
-/// Applies pending work to one shard and (optionally) runs one batch of
-/// windows. Shared verbatim by the serial and the threaded paths, so
-/// both drive shards identically.
+/// Applies pending work to one shard, (optionally) runs one batch of
+/// windows, and probes the result. Shared verbatim by the serial and
+/// the threaded paths, so both drive shards identically.
 fn run_one<S: Shard>(
     shard: &mut S,
     plan: Option<WindowPlan>,
@@ -487,10 +566,7 @@ fn run_one<S: Shard>(
         }
     }
     ShardReport {
-        next_event: shard.next_event(),
-        next_emission: shard.next_emission(),
-        turnaround: shard.turnaround(),
-        procs_done: shard.procs_done(),
+        probe: Probe::of(shard),
         emitted: outbox.items,
         scratch: work.deliveries,
         steps,
@@ -513,6 +589,26 @@ fn gather<C, F>(
             outbox: pool.take(),
         })
         .collect()
+}
+
+/// Keeps the work of the shards `run` selects, indexed, and hands the
+/// others' unused buffer pair straight back to the pool.
+fn select<C, F>(
+    work: Vec<ShardWork<C, F>>,
+    pool: &mut FramePool<(SimTime, F)>,
+    run: impl Fn(usize, &ShardWork<C, F>) -> bool,
+) -> Batch<C, F> {
+    let mut picked = Vec::new();
+    for (s, w) in work.into_iter().enumerate() {
+        if run(s, &w) {
+            picked.push((s, w));
+        } else {
+            debug_assert!(w.cmds.is_empty() && w.deliveries.is_empty(), "skipped shard {s} had work");
+            pool.put(w.deliveries);
+            pool.put(w.outbox);
+        }
+    }
+    picked
 }
 
 /// Contiguous near-even shard→worker split (the starting assignment,
@@ -548,22 +644,79 @@ const REBALANCE_EVERY: u64 = 64;
 /// or on worker threads), and merges cross-shard traffic
 /// deterministically at each barrier. See the [module docs](self) for
 /// the synchronization rule and the determinism argument.
+///
+/// The engine is resumable: it keeps every shard's last probe (its
+/// answers to the planning questions) between [`run`](Self::run) calls,
+/// so a run only probes the shards something touched since. The owner
+/// of the shards must call [`invalidate`](Self::invalidate) whenever it
+/// mutates a shard outside `run`.
 #[derive(Debug)]
 pub struct ParallelEngine {
     quantum: Quantum,
     /// Scheduler counters (deterministic; safe to snapshot).
     pub stats: ShardStats,
+    /// Each shard's last probe; `None` = stale (never probed, or
+    /// mutated since). One slot per shard, sized on first use.
+    probes: Box<[Option<Probe>]>,
 }
+
+/// Runs one batch on the listed shards and returns their reports in the
+/// same order; the optional assignment replaces the shard→worker map.
+type Dispatch<'d, S> = dyn FnMut(
+        Option<WindowPlan>,
+        Batch<<S as Shard>::Cmd, <S as Shard>::Frame>,
+        Option<Vec<Vec<usize>>>,
+    ) -> Vec<(usize, ShardReport<<S as Shard>::Frame>)>
+    + 'd;
 
 impl ParallelEngine {
     /// A scheduler with the given synchronization quantum.
     pub fn new(quantum: Quantum) -> Self {
-        ParallelEngine { quantum, stats: ShardStats::default() }
+        ParallelEngine { quantum, stats: ShardStats::default(), probes: Box::default() }
     }
 
     /// The configured quantum.
     pub fn quantum(&self) -> Quantum {
         self.quantum
+    }
+
+    /// Forgets shard `shard`'s cached probe. The owner calls this on
+    /// every mutation of the shard outside [`run`](Self::run) (a spawned
+    /// process, an injected frame, a replaced link), so the next run or
+    /// [`next_event`](Self::next_event) probes it afresh. Debug builds
+    /// check every cached probe they rely on against a live one, so a
+    /// missing call fails loudly there.
+    pub fn invalidate(&mut self, shard: usize) {
+        if let Some(p) = self.probes.get_mut(shard) {
+            *p = None;
+        }
+    }
+
+    /// The earliest next event across `shards` (unclamped), read from
+    /// the probe cache; only stale shards are probed.
+    pub fn next_event<S: Shard>(&mut self, shards: &mut [S]) -> Option<SimTime> {
+        self.size_cache(shards.len());
+        for (cached, shard) in self.probes.iter_mut().zip(shards.iter_mut()) {
+            match cached {
+                None => *cached = Some(Probe::of(shard)),
+                Some(p) => debug_assert_eq!(*p, Probe::of(shard), "stale cached shard probe"),
+            }
+        }
+        self.probes.iter().filter_map(|p| p.and_then(|p| p.next_event)).min()
+    }
+
+    /// Gives the probe cache one slot per shard (all stale when the
+    /// shard count changes).
+    fn size_cache(&mut self, n: usize) {
+        if self.probes.len() != n {
+            self.probes = vec![None; n].into_boxed_slice();
+        }
+    }
+
+    /// The cached probe of shard `s` (present for every shard inside a
+    /// run).
+    fn probe(&self, s: usize) -> &Probe {
+        self.probes[s].as_ref().expect("every shard is probed inside a run")
     }
 
     /// Renders this engine's counters as one named synchronization
@@ -615,13 +768,12 @@ impl ParallelEngine {
             }
             return RunReport { completed: true, events: 0 };
         }
+        self.size_cache(n);
         let threads = threads.clamp(1, n);
         if threads == 1 {
-            let mut dispatch = |plan, work: Vec<ShardWork<S::Cmd, S::Frame>>, _assign: Option<Vec<Vec<usize>>>| {
-                shards
-                    .iter_mut()
-                    .zip(work)
-                    .map(|(s, w)| run_one(s, plan, w))
+            let mut dispatch = |plan, work: Batch<S::Cmd, S::Frame>, _assign: Option<Vec<Vec<usize>>>| {
+                work.into_iter()
+                    .map(|(s, w)| (s, run_one(&mut shards[s], plan, w)))
                     .collect()
             };
             return self.coordinate::<S, F>(n, fabric, now, target, goal, threads, &mut dispatch);
@@ -664,33 +816,53 @@ impl ParallelEngine {
                     }
                 });
             }
-            let mut assign = split_even(n, threads);
-            let mut dispatch = |plan, work: Vec<ShardWork<S::Cmd, S::Frame>>, new_assign: Option<Vec<Vec<usize>>>| {
-                if let Some(a) = new_assign {
-                    assign = a;
-                }
-                let mut work: Vec<Option<_>> = work.into_iter().map(Some).collect();
-                for (w, job_tx) in job_txs.iter().enumerate() {
-                    let batch: Vec<_> = assign[w + 1]
-                        .iter()
-                        .map(|&s| (s, work[s].take().expect("shard assigned twice")))
-                        .collect();
-                    job_tx
-                        .send(Job::Round { plan, work: batch })
-                        .expect("shard worker exited early");
-                }
-                let mut out: Vec<Option<ShardReport<S::Frame>>> = (0..n).map(|_| None).collect();
-                for &s in &assign[0] {
-                    let w = work[s].take().expect("shard assigned twice");
-                    let mut shard = slots[s].lock().expect("shard mutex poisoned");
-                    out[s] = Some(run_one(&mut **shard, plan, w));
-                }
-                for _ in 1..threads {
-                    for (s, r) in res_rx.recv().expect("shard worker panicked") {
-                        out[s] = Some(r);
+            // Worker index per shard, from the current assignment.
+            let owners = |assign: Vec<Vec<usize>>| {
+                let mut owner = vec![0usize; n];
+                for (w, shards) in assign.into_iter().enumerate() {
+                    for s in shards {
+                        owner[s] = w;
                     }
                 }
-                out.into_iter().map(|r| r.expect("missing shard report")).collect()
+                owner
+            };
+            let mut owner = owners(split_even(n, threads));
+            let mut dispatch = |plan, work: Batch<S::Cmd, S::Frame>, new_assign: Option<Vec<Vec<usize>>>| {
+                if let Some(a) = new_assign {
+                    owner = owners(a);
+                }
+                // Only workers that own a shard in this batch get a job.
+                let mut batches: Vec<Batch<S::Cmd, S::Frame>> = (0..threads).map(|_| Vec::new()).collect();
+                for (s, w) in work {
+                    batches[owner[s]].push((s, w));
+                }
+                let mut inline = Vec::new();
+                let mut sent = 0;
+                for (w, batch) in batches.into_iter().enumerate() {
+                    if batch.is_empty() {
+                        continue;
+                    }
+                    if w == 0 {
+                        inline = batch;
+                        continue;
+                    }
+                    job_txs[w - 1]
+                        .send(Job::Round { plan, work: batch })
+                        .expect("shard worker exited early");
+                    sent += 1;
+                }
+                let mut out: Vec<(usize, ShardReport<S::Frame>)> = inline
+                    .into_iter()
+                    .map(|(s, w)| {
+                        let mut shard = slots[s].lock().expect("shard mutex poisoned");
+                        (s, run_one(&mut **shard, plan, w))
+                    })
+                    .collect();
+                for _ in 0..sent {
+                    out.extend(res_rx.recv().expect("shard worker panicked"));
+                }
+                out.sort_unstable_by_key(|&(s, _)| s);
+                out
             };
             let report = self.coordinate::<S, F>(n, fabric, now, target, goal, threads, &mut dispatch);
             for job_tx in &job_txs {
@@ -700,11 +872,36 @@ impl ParallelEngine {
         })
     }
 
+    /// Debug builds only: probes the listed shards live and checks each
+    /// against its cached probe. A mismatch means a shard changed
+    /// without passing through [`run`](Self::run) or
+    /// [`invalidate`](Self::invalidate).
+    #[cfg(debug_assertions)]
+    fn verify_cached<S: Shard>(&self, shards: impl Iterator<Item = usize>, dispatch: &mut Dispatch<'_, S>) {
+        let work: Batch<S::Cmd, S::Frame> = shards.map(|s| (s, ShardWork::empty())).collect();
+        if work.is_empty() {
+            return;
+        }
+        for (s, r) in dispatch(None, work, None) {
+            assert_eq!(
+                &r.probe,
+                self.probe(s),
+                "shard {s} changed outside the scheduler without ParallelEngine::invalidate"
+            );
+        }
+    }
+
     /// The coordinator loop, shared by the inline and threaded paths.
-    /// `dispatch` applies per-shard work, optionally runs one window
-    /// batch on every shard, and optionally installs a new shard→worker
-    /// assignment; it returns reports in shard order.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// `dispatch` applies per-shard work to the listed shards,
+    /// optionally runs one window batch on each, and optionally installs
+    /// a new shard→worker assignment; it returns reports in shard order.
+    ///
+    /// Every dispatch point hands each shard one delivery and one outbox
+    /// buffer from the frame pool, whether the shard runs or not; a
+    /// shard the coordinator skips hands its pair straight back. The
+    /// `sched.pool.*` counters therefore count the same buffer traffic
+    /// however many shards were idle.
+    #[allow(clippy::too_many_arguments)]
     fn coordinate<S, F>(
         &mut self,
         n: usize,
@@ -713,11 +910,7 @@ impl ParallelEngine {
         target: SimTime,
         goal: RunGoal,
         workers: usize,
-        dispatch: &mut dyn FnMut(
-            Option<WindowPlan>,
-            Vec<ShardWork<S::Cmd, S::Frame>>,
-            Option<Vec<Vec<usize>>>,
-        ) -> Vec<ShardReport<S::Frame>>,
+        dispatch: &mut Dispatch<'_, S>,
     ) -> RunReport
     where
         S: Shard,
@@ -743,16 +936,21 @@ impl ParallelEngine {
         let mut idle_rounds = 0u32;
         let mut round = 0u64;
 
-        // Initial probe: learn every shard's next event, emission bound
-        // and done flag without running a window.
-        let mut reports = dispatch(None, gather(n, &mut pool, &mut pending, &mut cmds), None);
-        for r in reports.iter_mut() {
-            pool.put(std::mem::take(&mut r.emitted));
-            pool.put(std::mem::take(&mut r.scratch));
+        // Probe point: learn every shard's next event, emission bound
+        // and done flag without running a window. Cached probes stand;
+        // only stale shards are asked.
+        #[cfg(debug_assertions)]
+        self.verify_cached::<S>((0..n).filter(|&s| self.probes[s].is_some()), dispatch);
+        let work = gather(n, &mut pool, &mut pending, &mut cmds);
+        let stale = select(work, &mut pool, |s, _| self.probes[s].is_none());
+        for (s, r) in dispatch(None, stale, None) {
+            self.probes[s] = Some(r.probe);
+            pool.put(r.emitted);
+            pool.put(r.scratch);
         }
 
         let completed = loop {
-            if goal == RunGoal::ProcsDone && reports.iter().all(|r| r.procs_done) {
+            if goal == RunGoal::ProcsDone && (0..n).all(|s| self.probe(s).procs_done) {
                 break true;
             }
 
@@ -765,8 +963,8 @@ impl ParallelEngine {
                     (a, b) => a.or(b),
                 }
             };
-            for r in &reports {
-                merge(r.next_event);
+            for s in 0..n {
+                merge(self.probe(s).next_event);
             }
             for dels in &pending {
                 merge(dels.iter().map(|&(at, _)| at).min());
@@ -810,10 +1008,11 @@ impl ParallelEngine {
             // create emissions the pre-command bounds did not see.
             if !controls_fired {
                 let mut min_emit: Option<SimTime> = None;
-                for (s, r) in reports.iter().enumerate() {
-                    let mut bound = r.next_emission;
-                    if let Some(pmin) = pending[s].iter().map(|&(at, _)| at).min() {
-                        let via = pmin.checked_add(r.turnaround).unwrap_or(SimTime::MAX);
+                for (s, dels) in pending.iter().enumerate() {
+                    let p = self.probe(s);
+                    let mut bound = p.next_emission;
+                    if let Some(pmin) = dels.iter().map(|&(at, _)| at).min() {
+                        let via = pmin.checked_add(p.turnaround).unwrap_or(SimTime::MAX);
                         bound = Some(bound.map_or(via, |b| b.min(via)));
                     }
                     if let Some(b) = bound {
@@ -855,21 +1054,34 @@ impl ParallelEngine {
                 None
             };
 
+            // Idle skip: a shard with nothing to apply and no event by
+            // the batch end would run empty windows and report the probe
+            // it already has, so it does not run at all.
             let events_before = events;
             let had_pending = pending.iter().any(|p| !p.is_empty());
-            reports = dispatch(Some(plan), gather(n, &mut pool, &mut pending, &mut cmds), new_assign);
+            let work = gather(n, &mut pool, &mut pending, &mut cmds);
+            let due = select(work, &mut pool, |s, w| w.due(self.probe(s), end));
+            #[cfg(debug_assertions)]
+            {
+                let mut ran = due.iter().map(|&(s, _)| s).peekable();
+                let skipped: Vec<usize> =
+                    (0..n).filter(|&s| ran.next_if_eq(&s).is_none()).collect();
+                self.verify_cached::<S>(skipped.into_iter(), dispatch);
+            }
+            let reports = dispatch(Some(plan), due, new_assign);
             *now = end;
 
             // Barrier: merge emissions with one stable sort on
             // (time, shard) — per-shard emission order breaks ties —
             // and route each through the fabric exactly once.
             merged.clear();
-            for (s, r) in reports.iter_mut().enumerate() {
+            for (s, mut r) in reports {
                 events += r.steps;
                 loads[s] += r.steps;
+                self.probes[s] = Some(r.probe);
                 merged.extend(r.emitted.drain(..).map(|(at, frame)| (at, s, frame)));
-                pool.put(std::mem::take(&mut r.emitted));
-                pool.put(std::mem::take(&mut r.scratch));
+                pool.put(r.emitted);
+                pool.put(r.scratch);
             }
             merged.sort_by_key(|&(at, s, _)| (at, s));
             for (at, s, frame) in merged.drain(..) {
@@ -894,16 +1106,22 @@ impl ParallelEngine {
             }
         };
 
-        // Hand leftover in-flight deliveries to their shards before
-        // returning so no frame is lost between run() calls.
+        // Hand leftover in-flight deliveries to the shards they target
+        // before returning so no frame is lost between run() calls; only
+        // those shards are re-probed. (This last hand-out's buffers die
+        // with the pool.)
         if pending.iter().any(|p| !p.is_empty()) {
-            dispatch(None, gather(n, &mut pool, &mut pending, &mut cmds), None);
+            let flush: Batch<S::Cmd, S::Frame> = gather(n, &mut pool, &mut pending, &mut cmds)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, w)| !w.deliveries.is_empty())
+                .collect();
+            for (s, r) in dispatch(None, flush, None) {
+                self.probes[s] = Some(r.probe);
+            }
         }
         // Fold this run's pool accounting into the persistent counters.
-        self.stats.pool.allocated.add(pool.stats.allocated.get());
-        self.stats.pool.reused.add(pool.stats.reused.get());
-        self.stats.pool.returned.add(pool.stats.returned.get());
-        self.stats.pool.discarded.add(pool.stats.discarded.get());
+        self.stats.pool.accumulate(&pool.stats);
         RunReport { completed, events }
     }
 }
@@ -1108,6 +1326,111 @@ mod tests {
         // Every pre-control event did run before the command (events at
         // 0, 50 ns, …, 950 ns).
         assert_eq!(before.len(), 20);
+    }
+
+    /// Local events at scripted times, never emitting; counts how often
+    /// the coordinator probes it and runs its windows.
+    struct Counted {
+        times: Vec<SimTime>,
+        cursor: usize,
+        probes: u32,
+        windows: u32,
+    }
+
+    impl Counted {
+        fn new(times: Vec<SimTime>) -> Self {
+            Counted { times, cursor: 0, probes: 0, windows: 0 }
+        }
+    }
+
+    impl Shard for Counted {
+        type Frame = ();
+        type Cmd = ();
+        fn next_event(&mut self) -> Option<SimTime> {
+            self.probes += 1;
+            self.times.get(self.cursor).copied()
+        }
+        fn apply(&mut self, _at: SimTime, _cmd: ()) {}
+        fn deliver(&mut self, _at: SimTime, _frame: ()) {}
+        fn run_window(&mut self, end: SimTime, _outbox: &mut Outbox<()>) -> u64 {
+            self.windows += 1;
+            let start = self.cursor;
+            while self.times.get(self.cursor).is_some_and(|&t| t <= end) {
+                self.cursor += 1;
+            }
+            (self.cursor - start) as u64
+        }
+    }
+
+    struct Silent;
+
+    impl Fabric<Counted> for Silent {
+        fn next_control(&mut self) -> Option<SimTime> {
+            None
+        }
+        fn pop_controls(&mut self, _now: SimTime, _out: &mut Vec<(usize, SimTime, ())>) {}
+        fn route(&mut self, _from: usize, _at: SimTime, _frame: (), _out: &mut Vec<(usize, SimTime, ())>) {}
+    }
+
+    /// Drives `shards` one event at a time, the way `Component::advance`
+    /// does: one `run` per next event.
+    fn step_through(eng: &mut ParallelEngine, shards: &mut [Counted], now: &mut SimTime) {
+        while let Some(t) = eng.next_event(shards) {
+            let rep = eng.run(shards, &mut Silent, now, t.max(*now), RunGoal::Deadline, 1);
+            assert!(rep.completed && rep.events > 0);
+        }
+    }
+
+    #[test]
+    fn stepped_runs_skip_idle_shards_and_reuse_probes() {
+        let busy: Vec<SimTime> = (0..50).map(|i| SimTime::from_ns(100 * i)).collect();
+        let mut shards = vec![Counted::new(busy), Counted::new(vec![SimTime::from_us(20)])];
+        let mut eng = ParallelEngine::new(Quantum::new(SimTime::from_ns(50)));
+        let mut now = SimTime::ZERO;
+        step_through(&mut eng, &mut shards, &mut now);
+        assert_eq!(now, SimTime::from_us(20));
+        assert_eq!(shards[0].cursor, 50);
+        assert_eq!(shards[1].cursor, 1);
+        // The idle shard ran once, when its one event came due, and was
+        // probed once up front and once after that run (two calls each:
+        // `next_emission` defaults to `next_event`). Debug builds add
+        // their live re-probes of every cached probe they rely on.
+        assert_eq!(shards[1].windows, 1, "an idle shard was dispatched");
+        if !cfg!(debug_assertions) {
+            assert_eq!(shards[1].probes, 4, "a cached probe was re-taken");
+        }
+        // 51 steps, one batch each; pool traffic still counts both
+        // shards at every dispatch point (probe point + one round).
+        assert_eq!(eng.stats.batch_jobs.get(), 51);
+        assert_eq!(eng.stats.pool.allocated.get(), 51 * 4);
+        assert_eq!(eng.stats.pool.reused.get(), 51 * 4);
+        assert_eq!(eng.stats.pool.returned.get(), 51 * 8);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "without ParallelEngine::invalidate")]
+    fn mutation_without_invalidate_is_caught_in_debug_builds() {
+        let mut shards = vec![Counted::new(vec![SimTime::from_ns(10)]), Counted::new(vec![])];
+        let mut eng = ParallelEngine::new(Quantum::new(SimTime::from_ns(50)));
+        let mut now = SimTime::ZERO;
+        step_through(&mut eng, &mut shards, &mut now);
+        // An out-of-band mutation the owner forgot to report.
+        shards[1].times.push(SimTime::from_ns(500));
+        eng.run(&mut shards, &mut Silent, &mut now, SimTime::from_us(1), RunGoal::Deadline, 1);
+    }
+
+    #[test]
+    fn invalidated_shards_are_probed_afresh() {
+        let mut shards = vec![Counted::new(vec![SimTime::from_ns(10)]), Counted::new(vec![])];
+        let mut eng = ParallelEngine::new(Quantum::new(SimTime::from_ns(50)));
+        let mut now = SimTime::ZERO;
+        step_through(&mut eng, &mut shards, &mut now);
+        shards[1].times.push(SimTime::from_ns(500));
+        eng.invalidate(1);
+        assert_eq!(eng.next_event(&mut shards), Some(SimTime::from_ns(500)));
+        step_through(&mut eng, &mut shards, &mut now);
+        assert_eq!((shards[1].cursor, now), (1, SimTime::from_ns(500)));
     }
 
     #[test]

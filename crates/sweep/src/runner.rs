@@ -16,14 +16,23 @@
 //! and one uninterrupted sweep produce byte-identical `sweep.json`.
 //! Marker writes go through a temp file + rename, so a killed run
 //! leaves either a complete marker or none.
+//!
+//! Host cost is recorded beside the results, never in them: each call
+//! rewrites `timings.json` next to `sweep.json` with one entry per
+//! completed cell — `cells.{id}.wall_s` (host seconds of this cell's
+//! simulation), `cells.{id}.jobs` (workers sharing the host while it
+//! ran) and `cells.{id}.hash` (the marker it timed). A reused cell keeps
+//! its earlier entry when the hash still matches, or is marked
+//! `cells.{id}.reused = 1` when no timing for its marker survives.
 
 use std::collections::VecDeque;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Instant;
 
-use mcn_sim::{MetricSink, MetricsSnapshot};
+use mcn_sim::{MetricSink, MetricValue, MetricsSnapshot};
 
 use crate::scenarios::run_cell;
 use crate::spec::{Cell, SweepSpec, FORMAT_VERSION};
@@ -64,6 +73,8 @@ pub struct SweepOutcome {
     pub merged: MetricsSnapshot,
     /// Where the merged tree was written (`out_dir/sweep.json`).
     pub merged_path: PathBuf,
+    /// The per-cell host timings written to `out_dir/timings.json`.
+    pub timings: MetricsSnapshot,
 }
 
 fn marker_path(out_dir: &Path, cell: &Cell, hash: u64) -> PathBuf {
@@ -132,15 +143,20 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
     // the merge below re-reads markers in expansion order.
     let queue: Mutex<VecDeque<(usize, u64)>> = Mutex::new(runnable.into());
     let io_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
+    // (cell index, host wall seconds) of every cell this call ran.
+    let walls: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
+    let workers = cfg.jobs.max(1).min(executed.max(1));
     std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for _ in 0..cfg.jobs.max(1).min(executed.max(1)) {
+        for _ in 0..workers {
             handles.push(s.spawn(|| loop {
                 let job = queue.lock().expect("queue").pop_front();
                 let Some((i, hash)) = job else { break };
                 let cell = &spec.cells[i];
                 let seed = cell.seed(spec.seed);
+                let start = Instant::now();
                 let snap = run_cell(cell, &spec.scale, seed);
+                walls.lock().expect("walls").push((i, start.elapsed().as_secs_f64()));
                 if let Err(e) = write_atomic(&marker_path(&cfg.out_dir, cell, hash), &snap.to_json())
                 {
                     *io_err.lock().expect("io_err") = Some(e);
@@ -170,15 +186,15 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
     sink.counter("sweep.seed", spec.seed);
     sink.text("sweep.scale", spec.scale.name);
     sink.counter("sweep.cells_total", spec.cells.len() as u64);
-    let mut done = 0u64;
-    for cell in &spec.cells {
+    let mut done = Vec::new();
+    for (i, cell) in spec.cells.iter().enumerate() {
         let hash = cell.config_hash(spec.seed, &spec.scale);
         if let Some(snap) = load_marker(&marker_path(&cfg.out_dir, cell, hash)) {
             sink.absorb_snapshot(&format!("cells.{}", cell.id()), &snap);
-            done += 1;
+            done.push(i);
         }
     }
-    sink.counter("sweep.cells_done", done);
+    sink.counter("sweep.cells_done", done.len() as u64);
     sink.counter("sweep.cells_skipped", skipped.len() as u64);
     for (id, why) in &skipped {
         sink.text(&format!("sweep.skipped.{id}"), why);
@@ -187,6 +203,12 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
 
     let merged_path = cfg.out_dir.join("sweep.json");
     write_atomic(&merged_path, &merged.to_json())?;
+
+    let timings_path = cfg.out_dir.join("timings.json");
+    let earlier = load_marker(&timings_path);
+    let walls = walls.into_inner().expect("walls");
+    let timings = timings_tree(spec, &done, &walls, workers, earlier.as_ref());
+    write_atomic(&timings_path, &timings.to_json())?;
     Ok(SweepOutcome {
         executed,
         reused,
@@ -194,7 +216,51 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
         remaining: remaining_after,
         merged,
         merged_path,
+        timings,
     })
+}
+
+/// The `timings.json` tree (see the [module docs](self)) over the
+/// completed cells `done`: this call's wall times for the cells it ran,
+/// `earlier` entries for reused cells whose marker hash still matches,
+/// and a `reused` flag for the rest.
+fn timings_tree(
+    spec: &SweepSpec,
+    done: &[usize],
+    walls: &[(usize, f64)],
+    workers: usize,
+    earlier: Option<&MetricsSnapshot>,
+) -> MetricsSnapshot {
+    let mut sink = MetricSink::new();
+    for &i in done {
+        let cell = &spec.cells[i];
+        let hash = cell.config_hash(spec.seed, &spec.scale);
+        let id = cell.id();
+        let hash_text = format!("{hash:016x}");
+        let old = |leaf: &str| earlier.and_then(|t| t.get(&format!("cells.{id}.{leaf}")));
+        let kept = || match (old("hash"), old("wall_s"), old("jobs")) {
+            (Some(MetricValue::Text(h)), Some(wall), Some(MetricValue::U64(jobs)))
+                if *h == hash_text =>
+            {
+                Some((wall.as_f64(), *jobs))
+            }
+            _ => None,
+        };
+        let timing = walls
+            .iter()
+            .find(|&&(c, _)| c == i)
+            .map(|&(_, wall)| (wall, workers as u64))
+            .or_else(kept);
+        sink.scoped(&format!("cells.{id}"), |out| match timing {
+            Some((wall, jobs)) => {
+                out.value("wall_s", wall);
+                out.counter("jobs", jobs);
+                out.text("hash", &hash_text);
+            }
+            None => out.counter("reused", 1),
+        });
+    }
+    sink.finish()
 }
 
 #[cfg(test)]
@@ -230,6 +296,30 @@ mod tests {
         assert_eq!(second.executed, 0);
         assert_eq!(second.reused, 2);
         assert_eq!(first.merged.to_json(), second.merged.to_json());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timings_sit_beside_the_tree_and_survive_reuse() {
+        let spec = tiny_spec(5);
+        let dir = tmp_dir("timings");
+        let cfg = SweepConfig::new(2, &dir);
+        let first = run_sweep(&spec, &cfg).expect("first");
+        let text = fs::read_to_string(dir.join("timings.json")).expect("timings.json written");
+        let timings = MetricsSnapshot::parse_flat_json(&text).expect("timings.json parses");
+        for cell in &spec.cells {
+            let wall = timings.get(&format!("cells.{}.wall_s", cell.id())).expect("wall_s");
+            assert!(wall.as_f64() > 0.0);
+            assert_eq!(timings.get_u64(&format!("cells.{}.jobs", cell.id())), 2);
+        }
+        assert!(!first.merged.to_json().contains("wall_s"), "timings leaked into sweep.json");
+        // A pure reuse keeps every measured entry.
+        let second = run_sweep(&spec, &cfg).expect("second");
+        assert_eq!(second.timings.to_json(), timings.to_json());
+        // Without the sidecar, a reused cell is marked as such.
+        fs::remove_file(dir.join("timings.json")).expect("remove");
+        let third = run_sweep(&spec, &cfg).expect("third");
+        assert_eq!(third.timings.get_u64(&format!("cells.{}.reused", spec.cells[0].id())), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
